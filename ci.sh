@@ -33,7 +33,7 @@ for model in tso pso; do
     grep -q 'witness verification: 1/1' "/tmp/canary_sb_$model.out"
 done
 # Trace smoke: the profiler must emit a parseable Chrome trace covering
-# all three phases plus at least one per-SMT-query span, and the trace
+# every pipeline phase plus at least one per-SMT-query span, and the trace
 # must stay byte-deterministic across worker counts (timing normalized).
 ./target/release/canary examples/fig2_variant.cir --stats \
     --trace-out /tmp/canary_trace.json || [ $? -eq 1 ]  # exit 1 = bug reported
@@ -45,7 +45,7 @@ if command -v python3 >/dev/null 2>&1; then
 else
     grep -q '"traceEvents"' /tmp/canary_trace.json
 fi
-for span in '"alg1"' '"alg2"' '"detect"' 'smt.query:'; do
+for span in '"callgraph"' '"alg1"' '"alg2"' '"detect"' 'smt.query:'; do
     grep -q "$span" /tmp/canary_trace.json
 done
 cargo test -q --offline --test trace

@@ -621,7 +621,7 @@ impl Canary {
         let mut refuted = Vec::new();
         let mut query_profiles = Vec::new();
         {
-            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 2, || "detect".into());
+            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 3, || "detect".into());
             // One query cache for the whole run: UNSAT cores and
             // memoized verdicts learned by one checker refute later
             // checkers' queries. Checkers run sequentially, so the
@@ -771,10 +771,14 @@ impl Canary {
         let mut pool = TermPool::new();
 
         let t0 = Instant::now();
-        let cg = CallGraph::build(prog);
-        let ts = ThreadStructure::compute(prog, &cg);
+        let (cg, ts) = {
+            let _phase = tracer.span(LANE_PIPELINE, "pipeline", 0, || "callgraph".into());
+            let cg = CallGraph::build(prog);
+            let ts = ThreadStructure::compute(prog, &cg);
+            (cg, ts)
+        };
         let mut df = {
-            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 0, || "alg1".into());
+            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 1, || "alg1".into());
             let df = canary_dataflow::run_traced(prog, &cg, &mut pool, threads, tracer);
             phase.record("tasks", df.tasks as u64);
             phase.record("functions", df.func_profiles.len() as u64);
@@ -803,7 +807,7 @@ impl Canary {
         let mut iopts = self.config.interference.clone();
         iopts.threads = iopts.threads.max(threads);
         let ir_result = {
-            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 1, || "alg2".into());
+            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 2, || "alg2".into());
             let r = canary_interference::run_traced(
                 prog, &ts, &mhp, &mut df, &mut pool, &iopts, tracer,
             );

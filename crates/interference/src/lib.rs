@@ -386,13 +386,14 @@ impl InterferenceAnalysis<'_> {
         // Pted(o) for every escaped object: nodes reachable from o with
         // aggregated guards (Alg. 2 lines 19–23). Kept in escape order —
         // the iteration order downstream decides term creation order.
+        let obj_node = first_obj_nodes(&df.vfg, self.prog.objs.len());
         let obj_nodes: Vec<(ObjId, Option<NodeId>)> = self
             .escaped
             .iter()
-            .map(|&o| (o, find_obj_node(&df.vfg, o)))
+            .map(|&o| (o, obj_node[o.index()]))
             .collect();
         self.tasks += obj_nodes.len();
-        let pted: Vec<(ObjId, HashMap<NodeId, TermId>)> = {
+        let pted = {
             let frozen: &TermPool = self.pool;
             let vfg = &df.vfg;
             let outs = exec::run_indexed(obj_nodes.len(), threads, |i| {
@@ -403,32 +404,29 @@ impl InterferenceAnalysis<'_> {
                 let reach = vfg.reachable_with_guards(&mut sp, on, tt);
                 Some((reach, sp.into_log()))
             });
-            let mut pted = Vec::new();
+            let mut objs = Vec::new();
+            let mut entries = Vec::new();
             for (i, out) in outs.into_iter().enumerate() {
                 let Some((reach, log)) = out else { continue };
                 let remap = log.commit(self.pool);
-                pted.push((
-                    obj_nodes[i].0,
-                    reach
-                        .into_iter()
-                        .map(|(n, g)| (n, remap.remap(g)))
-                        .collect(),
-                ));
+                let oi = objs.len() as u32;
+                objs.push(obj_nodes[i].0);
+                entries.extend(reach.into_iter().map(|(n, g)| (n, oi, remap.remap(g))));
             }
-            pted
+            entries.sort_unstable_by_key(|&(n, oi, _)| (n, oi));
+            PtedIndex { objs, entries }
         };
 
         // For Φ_ls we need, per (load, object), the competing stores
-        // S(l): every store whose address may point to the object.
-        let mut stores_on_obj: HashMap<ObjId, Vec<usize>> = HashMap::new();
+        // S(l): every store whose address may point to the object,
+        // indexed like `pted.objs`.
+        let mut stores_on_obj: Vec<Vec<usize>> = vec![Vec::new(); pted.objs.len()];
         for (si, s) in df.stores.iter().enumerate() {
             let Some(xa) = find_def_node(df, s.addr) else {
                 continue;
             };
-            for (o, nodes) in &pted {
-                if nodes.contains_key(&xa) {
-                    stores_on_obj.entry(*o).or_default().push(si);
-                }
+            for &(_, oi, _) in pted.at(xa) {
+                stores_on_obj[oi as usize].push(si);
             }
         }
 
@@ -504,6 +502,37 @@ impl InterferenceAnalysis<'_> {
     }
 }
 
+/// `Pted(o)` of every escaped object, inverted: for each VFG node,
+/// the objects whose `Pted` set contains it, with the aggregated guard,
+/// in escape order — the order the per-object scans this replaces
+/// visited them.
+struct PtedIndex {
+    /// The escaped objects that have a `Pted` set, in escape order; the
+    /// object indices in `entries` point here.
+    objs: Vec<ObjId>,
+    /// `(node, object index, guard)`, sorted by node, then object.
+    entries: Vec<(NodeId, u32, TermId)>,
+}
+
+impl PtedIndex {
+    /// The entries of the objects whose `Pted` contains `n`, in escape
+    /// order.
+    fn at(&self, n: NodeId) -> &[(NodeId, u32, TermId)] {
+        let lo = self.entries.partition_point(|e| e.0 < n);
+        let len = self.entries[lo..].partition_point(|e| e.0 == n);
+        &self.entries[lo..lo + len]
+    }
+
+    /// The guard under which object `oi`'s `Pted` contains `n`.
+    fn guard(&self, n: NodeId, oi: u32) -> Option<TermId> {
+        let k = self
+            .entries
+            .binary_search_by_key(&(n, oi), |&(n, oi, _)| (n, oi))
+            .ok()?;
+        Some(self.entries[k].2)
+    }
+}
+
 /// One sharded load check's proposals: pending edges, the scratch log
 /// to commit, the prune counters (per-object multiplicity) and the
 /// audit prune records.
@@ -525,8 +554,8 @@ fn check_load(
     use_mhp: bool,
     df: &DataflowResult,
     frozen: &TermPool,
-    pted: &[(ObjId, HashMap<NodeId, TermId>)],
-    stores_on_obj: &HashMap<ObjId, Vec<usize>>,
+    pted: &PtedIndex,
+    stores_on_obj: &[Vec<usize>],
     locks: Option<&LockModel>,
     load: &LoadSite,
 ) -> LoadCheck {
@@ -546,13 +575,9 @@ fn check_load(
     let tt = sp.tt();
     let mut edges = Vec::new();
     let stores = &df.stores;
-    for (o, nodes) in pted {
-        let Some(&beta) = nodes.get(&ya) else {
-            continue;
-        };
-        let Some(candidates) = stores_on_obj.get(o) else {
-            continue;
-        };
+    for &(_, oi, beta) in pted.at(ya) {
+        let o = &pted.objs[oi as usize];
+        let candidates = &stores_on_obj[oi as usize];
         for &si in candidates {
             let s = &stores[si];
             if s.label == load.label {
@@ -595,7 +620,9 @@ fn check_load(
                 }
             }
             let xa = find_def_node(df, s.addr).expect("store candidates have address nodes");
-            let alpha = nodes[&xa];
+            let alpha = pted
+                .guard(xa, oi)
+                .expect("candidate addresses lie in Pted(o)");
             if distinct {
                 if let Some(lm) = locks {
                     if let Some((class, killing_store)) =
@@ -783,10 +810,16 @@ fn order_atom<B: TermBuild>(pool: &mut B, a: Label, b: Label) -> TermId {
     pool.order_lt(a.0, b.0)
 }
 
-/// Locates the node of an object, if the dataflow pass materialized it.
-fn find_obj_node(vfg: &Vfg, o: ObjId) -> Option<NodeId> {
-    vfg.node_ids()
-        .find(|&n| matches!(vfg.kind(n), NodeKind::Object { obj, .. } if obj == o))
+/// The lowest-id node of each object, if the dataflow pass materialized
+/// one (an object allocated at several labels has several nodes).
+fn first_obj_nodes(vfg: &Vfg, n_objs: usize) -> Vec<Option<NodeId>> {
+    let mut first = vec![None; n_objs];
+    for n in vfg.node_ids() {
+        if let NodeKind::Object { obj, .. } = vfg.kind(n) {
+            first[obj.index()].get_or_insert(n);
+        }
+    }
+    first
 }
 
 #[cfg(test)]

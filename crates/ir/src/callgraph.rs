@@ -34,6 +34,9 @@ pub struct Steensgaard {
     func_node: Vec<u32>,
     /// For each class representative, the function constants inside it.
     funcs_in_class: HashMap<u32, Vec<FuncId>>,
+    /// Unions that merged two distinct classes so far; with
+    /// `parent.len()` it measures a pass's progress.
+    merges: usize,
 }
 
 impl Steensgaard {
@@ -50,15 +53,27 @@ impl Steensgaard {
             n_vars,
             func_node: ((n_vars + n_objs)..total).collect(),
             funcs_in_class: HashMap::new(),
+            merges: 0,
         };
         // Unification is monotone, so re-running the transfer pass lets
-        // late `FuncAddr` bindings flow into earlier indirect call sites;
-        // three rounds reach a fixpoint for any fnptr chain of practical
-        // depth (the classes only ever merge).
-        for _ in 0..3 {
+        // late `FuncAddr` bindings flow into earlier indirect call sites.
+        // Classes only ever merge and pointees are only ever created, so
+        // a pass that does neither leaves the state unchanged: that pass
+        // is the fixpoint, however long the fnptr chain.
+        loop {
+            let progress = s.merges + s.parent.len();
             for l in prog.labels() {
                 s.transfer(prog, l);
             }
+            if s.merges + s.parent.len() == progress {
+                break;
+            }
+        }
+        // Point every node straight at its root, so the `&self` queries
+        // after the run take one hop.
+        for x in 0..s.parent.len() as u32 {
+            let root = s.find_mut(x);
+            s.parent[x as usize] = root;
         }
         // Index function constants by their final representative.
         for f in 0..n_funcs {
@@ -79,6 +94,8 @@ impl Steensgaard {
         self.n_vars + o.0
     }
 
+    /// The root of `x`'s class, after the run (when every node points
+    /// at its root).
     fn find(&self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             x = self.parent[x as usize];
@@ -86,35 +103,52 @@ impl Steensgaard {
         x
     }
 
+    /// The root of `x`'s class, halving the path on the way: every node
+    /// visited is relinked to its grandparent. Roots never change, so
+    /// neither do representatives.
+    fn find_mut(&mut self, mut x: u32) -> u32 {
+        loop {
+            let p = self.parent[x as usize];
+            if p == x {
+                return x;
+            }
+            let gp = self.parent[p as usize];
+            self.parent[x as usize] = gp;
+            x = gp;
+        }
+    }
+
     fn union(&mut self, a: u32, b: u32) -> u32 {
-        let (ra, rb) = (self.find(a), self.find(b));
+        let (ra, rb) = (self.find_mut(a), self.find_mut(b));
         if ra == rb {
             return ra;
         }
         self.parent[rb as usize] = ra;
+        self.merges += 1;
         // Unifying two classes must also unify their pointees.
         let pa = self.pointee.remove(&ra);
         let pb = self.pointee.remove(&rb);
         match (pa, pb) {
             (Some(x), Some(y)) => {
                 let p = self.union(x, y);
-                let r = self.find(ra);
+                let r = self.find_mut(ra);
                 self.pointee.insert(r, p);
             }
             (Some(x), None) | (None, Some(x)) => {
-                let r = self.find(ra);
-                self.pointee.insert(r, self.find(x));
+                let r = self.find_mut(ra);
+                let p = self.find_mut(x);
+                self.pointee.insert(r, p);
             }
             (None, None) => {}
         }
-        self.find(ra)
+        self.find_mut(ra)
     }
 
     /// The pointee class of `x`'s class, creating a fresh one on demand.
     fn deref_class(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
+        let r = self.find_mut(x);
         if let Some(&p) = self.pointee.get(&r) {
-            return self.find(p);
+            return self.find_mut(p);
         }
         let fresh = self.parent.len() as u32;
         self.parent.push(fresh);
@@ -166,17 +200,10 @@ impl Steensgaard {
     fn bind_call(&mut self, prog: &Program, callee: &Callee, args: &[VarId], dsts: &[VarId]) {
         let targets: Vec<FuncId> = match callee {
             Callee::Direct(f) => vec![*f],
-            Callee::Indirect(fp) => {
-                // During the single pass, resolve with current classes;
-                // unification is monotone so a later FuncAddr that joins
-                // this class still unifies formals via the shared class.
-                // To stay sound with one pass we unify the *arguments*
-                // with every function currently in the pointee class and
-                // additionally tie the fp pointee class to a per-class
-                // formal record. For simplicity (and because workloads
-                // assign fnptrs before forking), we resolve here.
-                self.func_targets(*fp)
-            }
+            // Resolve with the current classes. A `FuncAddr` that joins
+            // the pointee class later in this pass binds its formals on
+            // the next pass, which `run` repeats until nothing changes.
+            Callee::Indirect(fp) => self.current_targets(*fp),
         };
         for f in targets {
             let func = prog.func(f);
@@ -198,24 +225,31 @@ impl Steensgaard {
         }
     }
 
-    /// The functions a function-pointer variable may target.
+    /// The functions `fp` may target with the classes as they stand
+    /// mid-run, in `FuncId` order.
+    fn current_targets(&mut self, fp: VarId) -> Vec<FuncId> {
+        let r = self.find_mut(self.var_node(fp));
+        let Some(&p) = self.pointee.get(&r) else {
+            return Vec::new();
+        };
+        let p = self.find_mut(p);
+        (0..self.func_node.len())
+            .filter(|&i| self.find_mut(self.func_node[i]) == p)
+            .map(|i| FuncId::new(i as u32))
+            .collect()
+    }
+
+    /// The functions a function-pointer variable may target, in
+    /// `FuncId` order.
     pub fn func_targets(&self, fp: VarId) -> Vec<FuncId> {
         let r = self.find(self.var_node(fp));
         let Some(&p) = self.pointee.get(&r) else {
             return Vec::new();
         };
-        let p = self.find(p);
-        // funcs_in_class is populated at the end of `run`; before that,
-        // fall back to scanning function nodes.
-        if let Some(fs) = self.funcs_in_class.get(&p) {
-            return fs.clone();
-        }
-        self.func_node
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| self.find(n) == p)
-            .map(|(i, _)| FuncId::new(i as u32))
-            .collect()
+        self.funcs_in_class
+            .get(&self.find(p))
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// Whether two variables may point to the same class (unification
@@ -457,7 +491,8 @@ impl CallGraph {
 
     /// Whether `g` is reachable from `f` via call/fork edges (reflexive).
     pub fn reaches(&self, f: FuncId, g: FuncId) -> bool {
-        self.closure[f.index()].contains(&g)
+        // Closure rows are built in ascending `FuncId` order.
+        self.closure[f.index()].binary_search(&g).is_ok()
     }
 
     /// Resolved targets of the call or fork at `l` (empty for other

@@ -60,29 +60,30 @@ impl IntraReach {
         }
     }
 
-    /// Whether `l2` strictly follows `l1` on some control-flow path.
-    fn reaches(&self, prog: &Program, l1: Label, l2: Label) -> bool {
+    /// Whether `l2` strictly follows `l1` on some control-flow path;
+    /// `block_pos[l]` is the index of `l` within its block.
+    fn reaches(&self, prog: &Program, block_pos: &[u32], l1: Label, l2: Label) -> bool {
         if l1 == l2 {
             return false;
         }
-        let s1 = prog.stmt(l1);
-        let s2 = prog.stmt(l2);
-        if s1.block == s2.block {
-            let blk = &prog.func(s1.func).blocks[s1.block.index()].stmts;
-            let p1 = blk.iter().position(|&l| l == l1);
-            let p2 = blk.iter().position(|&l| l == l2);
-            return p1 < p2;
+        let (b1, b2) = (prog.stmt(l1).block, prog.stmt(l2).block);
+        if b1 == b2 {
+            return block_pos[l1.index()] < block_pos[l2.index()];
         }
-        self.block_reach[s1.block.index()][s2.block.index()]
+        self.block_reach[b1.index()][b2.index()]
     }
 
     /// All labels strictly after `l` in this function.
-    fn after(&self, prog: &Program, l: Label) -> Vec<Label> {
+    fn after<'a>(
+        &'a self,
+        prog: &'a Program,
+        block_pos: &'a [u32],
+        l: Label,
+    ) -> impl Iterator<Item = Label> + 'a {
         self.labels
             .iter()
             .copied()
-            .filter(|&m| self.reaches(prog, l, m))
-            .collect()
+            .filter(move |&m| self.reaches(prog, block_pos, l, m))
     }
 }
 
@@ -92,6 +93,8 @@ pub struct OrderGraph<'p> {
     prog: &'p Program,
     cg: &'p CallGraph,
     intra: Vec<IntraReach>,
+    /// `block_pos[l]` — the index of label `l` within its block.
+    block_pos: Vec<u32>,
     /// `join_of_entry[f]` — join sites whose thread has `f` among its
     /// entry functions.
     join_of_entry: Vec<Vec<Label>>,
@@ -114,6 +117,14 @@ impl<'p> OrderGraph<'p> {
         let intra = (0..prog.funcs.len())
             .map(|i| IntraReach::compute(prog, FuncId::new(i as u32)))
             .collect();
+        let mut block_pos = vec![0u32; prog.stmt_count()];
+        for func in &prog.funcs {
+            for block in &func.blocks {
+                for (i, &l) in block.stmts.iter().enumerate() {
+                    block_pos[l.index()] = i as u32;
+                }
+            }
+        }
         let mut join_of_entry: Vec<Vec<Label>> = vec![Vec::new(); prog.funcs.len()];
         for info in prog.threads.iter() {
             let (Some(fork), Some(join)) = (info.fork_site, info.join_site) else {
@@ -166,6 +177,7 @@ impl<'p> OrderGraph<'p> {
             prog,
             cg,
             intra,
+            block_pos,
             join_of_entry,
             func_follow,
             cache: Mutex::new(HashMap::new()),
@@ -178,7 +190,7 @@ impl<'p> OrderGraph<'p> {
         if f1 != self.prog.func_of(l2) {
             return false;
         }
-        self.intra[f1.index()].reaches(self.prog, l1, l2)
+        self.intra[f1.index()].reaches(self.prog, &self.block_pos, l1, l2)
     }
 
     /// The program order `<P` of Defn. 2(2): returns `true` when, in
@@ -228,7 +240,7 @@ impl<'p> OrderGraph<'p> {
             if descend_self && self.descends_to(l, target_func) {
                 return true;
             }
-            for m in ir.after(self.prog, l) {
+            for m in ir.after(self.prog, &self.block_pos, l) {
                 if m == l2 {
                     return true;
                 }

@@ -223,6 +223,22 @@ fn reader_behind_function_pointer_is_found() {
 }
 
 #[test]
+fn fork_target_four_fnptr_hops_away_resolves() {
+    // Each indirect call binds the next function pointer only on the
+    // pass after the previous call resolved, so the fork's pointer
+    // gains its target on the fourth pass of the unification analysis:
+    // three fixed passes leave the fork target empty.
+    let src = "
+        fn s4(p4, x4) { fork t p4(x4); }
+        fn s3(p3, q3, x3) { call p3(q3, x3); }
+        fn s2(p2, q2, r2, x2) { call p2(q2, r2, x2); }
+        fn s1(p1, q1, r1, u1, x1) { call p1(q1, r1, u1, x1); }
+        fn main() { v = alloc o; a = fnptr s1; b = fnptr s2; c = fnptr s3; d = fnptr s4; w = fnptr reader; call a(b, c, d, w, v); free v; }
+        fn reader(q) { use q; }";
+    assert_eq!(uaf(src), 1, "Steensgaard runs to a fixpoint");
+}
+
+#[test]
 fn two_candidate_handlers_both_checked() {
     let src = "
         fn main() {

@@ -81,7 +81,7 @@ fn trace_covers_all_three_phases_and_smt_queries() {
         .iter()
         .map(|e| e["name"].as_str().unwrap().to_string())
         .collect();
-    for phase in ["alg1", "alg2", "detect"] {
+    for phase in ["callgraph", "alg1", "alg2", "detect"] {
         assert!(names.iter().any(|n| n == phase), "missing {phase}: {names:?}");
     }
     assert!(
@@ -165,7 +165,7 @@ fn cli_trace_out_writes_valid_chrome_trace() {
         .iter()
         .map(|e| e["name"].as_str().unwrap())
         .collect();
-    for phase in ["alg1", "alg2", "detect"] {
+    for phase in ["callgraph", "alg1", "alg2", "detect"] {
         assert!(names.contains(&phase), "missing {phase}: {names:?}");
     }
     assert!(names.iter().any(|n| n.starts_with("smt.query:")), "{names:?}");
