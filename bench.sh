@@ -12,23 +12,14 @@
 # <= 3% overhead gate, and writes BENCH_8.json. The self-diff then
 # exercises `canary bench diff` as the CI regression gate it is.
 #
-# bench5 — MLoC-scale detect: runs the saturation corpus under fresh /
-# incremental / incremental+cubes, compares the static and
-# work-stealing dispatchers at 4 threads (wall on multi-core hosts,
-# deterministic makespan model on single-core), checks the bounded
-# memory budget (VmHWM + spill), asserts report identity across every
-# knob, and writes BENCH_5.json.
-#
 # Knobs: CANARY_BENCH_REPS (wall samples per configuration; bench4
-# default 3, bench5 default 3, bench8 default 5), CANARY_BENCH_STMTS
-# (subject size scale, default 1.0).
+# default 3, bench8 default 5), CANARY_BENCH_STMTS (subject size scale,
+# default 1.0).
 set -eu
 cd "$(dirname "$0")"
 cargo run --release --offline -p canary-bench --bin bench4 -- "${1:-BENCH_4.json}"
 cargo run --release --offline -p canary-bench --bin bench8 -- "${2:-BENCH_8.json}"
-cargo run --release --offline -p canary-bench --bin bench5 -- "${3:-BENCH_5.json}"
 # A fresh artifact must diff clean against itself — the gate CI runs
 # against the committed baseline on every PR.
 cargo run --release --offline --bin canary -- bench diff "${2:-BENCH_8.json}" "${2:-BENCH_8.json}" >/dev/null
-cargo run --release --offline --bin canary -- bench diff "${3:-BENCH_5.json}" "${3:-BENCH_5.json}" >/dev/null
 echo "bench diff self-check: OK"

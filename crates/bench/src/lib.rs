@@ -526,58 +526,9 @@ pub fn bench_corpus(scale: f64) -> Vec<(String, canary_ir::Program)> {
     subjects
 }
 
-/// The BENCH_5 saturation corpus: a Fig. 7-style size sweep of
-/// generated subjects whose SMT work is dominated by query families —
-/// fan-out readers per contradiction pattern — with the leading half
-/// *hardened* (`hard_family_ratio`): their refutation lives in the
-/// wait/notify order theory, so every member costs real CDCL(T)
-/// search. Hard families sit first in family order, which is exactly
-/// the adversarial layout for the static dispatcher's contiguous
-/// chunking: early chunks drown in hard families while late chunks
-/// idle. `scale` multiplies subject sizes (`CANARY_BENCH_STMTS`).
-pub fn saturation_corpus(scale: f64) -> Vec<(String, Workload)> {
-    use canary_workloads::{generate, WorkloadSpec};
-    let stmts = |n: usize| ((n as f64 * scale) as usize).max(50);
-    let points = [
-        ("sat-2k", 2000, 8, 5),
-        ("sat-5k", 5000, 12, 6),
-        ("sat-9k", 9000, 16, 6),
-    ];
-    points
-        .iter()
-        .map(|&(name, size, families, fanout)| {
-            let spec = WorkloadSpec {
-                name: name.into(),
-                seed: 0xB50 + size as u64,
-                target_stmts: stmts(size),
-                threads: 3,
-                shared_cells: 6,
-                true_bugs: 2,
-                benign_patterns: 2,
-                contradiction_patterns: families,
-                handshake_patterns: 1,
-                order_fp_patterns: 2,
-                double_free: 1,
-                null_deref: 1,
-                leak: 1,
-                double_lock: 0,
-                conflict_lock: 0,
-                sb_patterns: 0,
-                mp_patterns: 0,
-                lb_patterns: 0,
-                family_fanout: fanout,
-                hard_family_ratio: 0.5,
-                filler: true,
-            };
-            (name.to_string(), generate(&spec))
-        })
-        .collect()
-}
-
-/// Canonical rendering of everything a solver/scheduler configuration
-/// must not change — reports with paths, plus per-query verdicts —
-/// compared byte-for-byte between strategies, dispatchers, shard
-/// counts and cube settings.
+/// Canonical rendering of everything a solver configuration must not
+/// change — reports with paths, plus per-query verdicts — compared
+/// byte-for-byte between solver strategies.
 pub fn report_fingerprint(outcome: &canary_core::AnalysisOutcome) -> String {
     let mut s = String::new();
     for r in &outcome.reports {
@@ -593,50 +544,6 @@ pub fn report_fingerprint(outcome: &canary_core::AnalysisOutcome) -> String {
         ));
     }
     s
-}
-
-/// Deterministic per-family solver work from a run's query profiles:
-/// decisions + conflicts + 1 per member (the unit term keeps
-/// prefilter-folded members from vanishing — encoding them still costs
-/// something), summed per family, in ascending family-key order. This
-/// is the input to the makespan model below: on a single-core host
-/// wall-clock "speedup at 4 threads" is meaningless (four workers
-/// time-slice one CPU), so BENCH_5 gates the *schedule* the
-/// dispatchers provably produce over this deterministic work vector.
-pub fn family_work(m: &canary_core::Metrics) -> Vec<u64> {
-    let mut per: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for p in &m.query_profiles {
-        *per.entry(p.family).or_insert(0) += p.decisions + p.conflicts + 1;
-    }
-    per.into_values().collect()
-}
-
-/// Makespan of the static dispatcher's contiguous chunking: family
-/// `i` of `n` goes to worker `w` iff `i ∈ [w·n/T, (w+1)·n/T)` — the
-/// exact split `Dispatch::Static` uses — and the makespan is the
-/// heaviest chunk.
-pub fn static_makespan(work: &[u64], workers: usize) -> u64 {
-    let (n, t) = (work.len(), workers.max(1));
-    (0..t)
-        .map(|w| work[w * n / t..(w + 1) * n / t].iter().sum())
-        .max()
-        .unwrap_or(0)
-}
-
-/// Makespan of deterministic greedy list scheduling — the
-/// work-stealing dispatcher's idealization: families are claimed in
-/// family order by whichever worker is free first (least-loaded,
-/// lowest index on ties), which is what stealing converges to when
-/// whole families are the unit of theft.
-pub fn worksteal_makespan(work: &[u64], workers: usize) -> u64 {
-    let mut loads = vec![0u64; workers.max(1)];
-    for &w in work {
-        let min = (0..loads.len())
-            .min_by_key(|&i| (loads[i], i))
-            .expect("at least one worker");
-        loads[min] += w;
-    }
-    loads.into_iter().max().unwrap_or(0)
 }
 
 /// Reads a scaling knob from the environment with a default, so the
@@ -695,42 +602,6 @@ mod tests {
         assert_eq!(Measurement::TimedOut.time_cell(), "NA");
         assert!(m.time().is_some());
         assert!(Measurement::TimedOut.time().is_none());
-    }
-
-    #[test]
-    fn makespan_model_prefers_stealing_on_clustered_hard_families() {
-        // Eight heavy families first, eight trivial after — the
-        // saturation corpus layout. Static chunking piles the heavy
-        // prefix onto the first two of four workers.
-        let work: Vec<u64> = (0..16).map(|i| if i < 8 { 100 } else { 1 }).collect();
-        assert_eq!(static_makespan(&work, 4), 400);
-        assert_eq!(worksteal_makespan(&work, 4), 202);
-        // Uniform work: both schedules are balanced.
-        let flat = vec![10u64; 16];
-        assert_eq!(static_makespan(&flat, 4), worksteal_makespan(&flat, 4));
-        // Degenerate shapes.
-        assert_eq!(static_makespan(&[], 4), 0);
-        assert_eq!(worksteal_makespan(&[7], 1), 7);
-    }
-
-    #[test]
-    fn family_work_sums_profiles_in_family_order() {
-        use canary_workloads::{generate, WorkloadSpec};
-        let w = generate(&WorkloadSpec {
-            family_fanout: 3,
-            hard_family_ratio: 1.0,
-            contradiction_patterns: 2,
-            ..WorkloadSpec::small(0xFA)
-        });
-        let (_t, _b, _e, m) = run_canary_uaf_profiled(&w);
-        let fams = family_work(&m);
-        assert!(!fams.is_empty());
-        assert!(fams.iter().all(|&x| x > 0), "unit term keeps families nonzero");
-        let total: u64 = fams.iter().sum();
-        assert!(
-            total >= m.query_profiles.len() as u64,
-            "at least one unit per profiled query"
-        );
     }
 
     #[test]

@@ -93,14 +93,6 @@ pub struct CanaryConfig {
     /// result is unchanged; this buys executable evidence at the cost
     /// of one interpreter run per report).
     pub verify_witnesses: bool,
-    /// Resident-set budget (MiB) for cold analysis artifacts. When set,
-    /// per-function summaries — dead weight once the VFG is built — are
-    /// spilled to an on-disk store (`canary-store`) before detection,
-    /// with an LRU resident set capped at this budget, and the
-    /// `canary_spill_*` gauges report the (deterministic) accounting.
-    /// `None` (the default) keeps everything in memory. Findings are
-    /// identical either way.
-    pub memory_budget_mb: Option<u64>,
 }
 
 impl Default for CanaryConfig {
@@ -120,7 +112,6 @@ impl Default for CanaryConfig {
             context_depth: 0,
             threads: default_threads(),
             verify_witnesses: false,
-            memory_budget_mb: None,
         }
     }
 }
@@ -208,18 +199,12 @@ pub struct Metrics {
     pub func_profiles: Vec<FuncProfile>,
     /// Per-SMT-query attribution records, in checker/query order.
     pub query_profiles: Vec<QueryProfile>,
-    /// Spill-store accounting when [`CanaryConfig::memory_budget_mb`]
-    /// is set (all-zero otherwise). Deterministic: driven by encoded
-    /// byte sizes and the budget, never by OS memory accounting.
-    pub spill: canary_store::SpillGauges,
     /// The run-wide audit log: one terminal disposition, with a
     /// machine-checkable certificate, for every candidate source/sink
     /// pair any pipeline layer considered. The JSONL export
     /// (`--audit-out`) and `canary why-not` read from here; its
     /// records are byte-identical across every scheduling and strategy
-    /// knob. The per-worker `dispatch_loads` it also carries are
-    /// timing-dependent and surface only as the volatile
-    /// `canary_dispatch_*` registry family.
+    /// knob.
     pub audit: AuditLog,
 }
 
@@ -313,8 +298,6 @@ impl Metrics {
         c(&mut reg, "canary_solver_core_subsumed", "Queries refuted by UNSAT-core subsumption", d.core_subsumed as f64);
         c(&mut reg, "canary_solver_incremental_queries", "Queries solved on a persistent family solver", d.incremental as f64);
         c(&mut reg, "canary_solver_clauses_retained", "Learned clauses alive on family solvers at family end", d.clauses_retained as f64);
-        c(&mut reg, "canary_solver_cube_escalated", "Family members escalated to cube-and-conquer after blowing the conflict budget", d.cube_escalated as f64);
-        c(&mut reg, "canary_solver_shard_epochs", "Cache merge barriers (shard epochs) executed by the query dispatcher", d.epochs as f64);
 
         // Audit-layer disposition totals: deterministic (derived from
         // term-determined certificates), so they live in the canonical
@@ -332,43 +315,6 @@ impl Metrics {
         c(&mut reg, "canary_audit_pruned_mhp", "Interference pairs pruned by plain MHP", a.pruned_mhp as f64);
         c(&mut reg, "canary_audit_pruned_lock", "Interference pairs pruned by lock-sharpened MHP", a.pruned_lock as f64);
         c(&mut reg, "canary_audit_pruned_order", "Interference pairs refuted by program order", a.pruned_order as f64);
-
-        // Per-worker dispatcher loads: timing-dependent (work stealing
-        // follows the OS scheduler), so the family is *volatile* — the
-        // determinism normalizers drop `canary_dispatch_*` wholesale.
-        // Emitted only when a work-stealing dispatch ran (the fresh
-        // strategy never populates it), mirroring the spill gauges.
-        if !self.audit.dispatch_loads.is_empty() {
-            for (i, l) in self.audit.dispatch_loads.iter().enumerate() {
-                let worker = i.to_string();
-                let labels = [("worker", worker.as_str())];
-                reg.set_gauge(
-                    "canary_dispatch_worker_families",
-                    "Query families a dispatcher worker solved (volatile)",
-                    &labels,
-                    l.families as f64,
-                );
-                reg.set_gauge(
-                    "canary_dispatch_worker_stolen",
-                    "Query families a dispatcher worker stole from siblings (volatile)",
-                    &labels,
-                    l.stolen as f64,
-                );
-            }
-        }
-
-        // Spill gauges are emitted only when a budget armed the store:
-        // absent families keep budget-less runs byte-comparable with
-        // historical exports.
-        if self.spill.budget_bytes > 0 || self.spill.entries > 0 {
-            let s = &self.spill;
-            g(&mut reg, "canary_spill_budget_bytes", "Configured resident-set byte budget for spilled artifacts", s.budget_bytes as f64);
-            g(&mut reg, "canary_spill_bytes_written", "Bytes appended to the spill store's backing file", s.bytes_written as f64);
-            g(&mut reg, "canary_spill_entries", "Distinct entries held by the spill store", s.entries as f64);
-            g(&mut reg, "canary_spill_evictions", "Resident entries dropped to stay within the byte budget", s.evictions as f64);
-            g(&mut reg, "canary_spill_reloads", "Entry fetches served from disk after eviction", s.reloads as f64);
-            g(&mut reg, "canary_spill_resident_bytes", "Bytes held by the spill store's resident set at run end", s.resident_bytes as f64);
-        }
 
         for (phase, s) in [
             ("dataflow", &self.dataflow_phase),
@@ -530,7 +476,7 @@ impl Canary {
     }
 
     fn analyze_uncloned(&self, prog: &Program, tracer: &Tracer) -> AnalysisOutcome {
-        let (mut pool, mut df, ir_result, cg, ts, metrics0) = self.build_vfg_traced(prog, tracer);
+        let (mut pool, df, ir_result, cg, ts, metrics0) = self.build_vfg_traced(prog, tracer);
         let mhp = MhpAnalysis::new(prog, &cg, &ts);
         let mut metrics = metrics0;
 
@@ -565,50 +511,6 @@ impl Canary {
                 d,
             );
         }
-
-        // Bounded-memory mode: once the VFG is built the per-function
-        // summaries are dead weight (the checkers only consult the VFG),
-        // so spill them to the on-disk store before detection allocates
-        // its solver structures. The store keeps an LRU resident set
-        // within the configured budget; findings are unchanged either
-        // way, and the gauges are deterministic (driven by encoded byte
-        // sizes, never by OS accounting).
-        let _spill_store = self.config.memory_budget_mb.map(|mb| {
-            let budget = mb.saturating_mul(1024 * 1024);
-            match canary_store::SpillStore::with_budget(budget) {
-                Ok(mut store) => {
-                    let summaries = std::mem::take(&mut df.summaries);
-                    let mut io_err = None;
-                    for (i, s) in summaries.iter().enumerate() {
-                        let bytes = canary_dataflow::encode_summary(s);
-                        if let Err(e) = store.put(i as u32, bytes) {
-                            io_err = Some(e);
-                            break;
-                        }
-                    }
-                    metrics.spill = store.gauges();
-                    canary_trace::log(LogLevel::Summary, || {
-                        let g = metrics.spill;
-                        let err = io_err
-                            .as_ref()
-                            .map(|e| format!(", aborted on io error: {e}"))
-                            .unwrap_or_default();
-                        format!(
-                            "spill: {} summar(ies), {} byte(s) written, \
-                             {} evicted, {} resident byte(s) (budget {} MiB){err}",
-                            g.entries, g.bytes_written, g.evictions, g.resident_bytes, mb
-                        )
-                    });
-                    Some(store)
-                }
-                Err(e) => {
-                    canary_trace::log(LogLevel::Summary, || {
-                        format!("spill: store unavailable ({e}); summaries stay in memory")
-                    });
-                    None
-                }
-            }
-        });
 
         let t0 = Instant::now();
         // One `threads` knob rules the whole pipeline: lift it into the
@@ -932,34 +834,6 @@ mod tests {
             .unwrap();
         assert!(outcome.witness_replays.is_empty());
         assert_eq!(outcome.metrics.witnesses_checked, 0);
-    }
-
-    #[test]
-    fn memory_budget_spills_summaries_without_changing_findings() {
-        let src = "fn main() { p = alloc o; fork t w(p); free p; }
-                   fn w(q) { use q; }";
-        let base = Canary::new().analyze_source(src).unwrap();
-        assert_eq!(base.metrics.spill, canary_store::SpillGauges::default());
-        let config = CanaryConfig {
-            memory_budget_mb: Some(1),
-            ..CanaryConfig::default()
-        };
-        let spilled = Canary::with_config(config).analyze_source(src).unwrap();
-        assert_eq!(
-            base.reports.len(),
-            spilled.reports.len(),
-            "spilling summaries must not change findings"
-        );
-        assert_eq!(spilled.metrics.spill.budget_bytes, 1 << 20);
-        assert_eq!(spilled.metrics.spill.entries, 2, "one summary per function");
-        assert!(spilled.metrics.spill.bytes_written > 0);
-        // Determinism: a second identical run reports identical gauges.
-        let config = CanaryConfig {
-            memory_budget_mb: Some(1),
-            ..CanaryConfig::default()
-        };
-        let again = Canary::with_config(config).analyze_source(src).unwrap();
-        assert_eq!(again.metrics.spill, spilled.metrics.spill);
     }
 
     #[test]

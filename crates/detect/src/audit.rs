@@ -9,22 +9,20 @@
 //! verdict memo (§5.2), fingerprint dedup — records *why* a candidate
 //! died, and a reconciliation invariant
 //! (`candidates == reported + deduped + Σ pruned-by-reason`) turns
-//! silent candidate loss anywhere in the sharded/cubed/spilled
-//! pipeline into a hard failure.
+//! silent candidate loss anywhere in the pipeline into a hard failure.
 //!
 //! Determinism contract: every record is derived from term-determined
 //! data only (the hash-consed query term, the candidate enumeration
 //! order, the interference fixpoint's committed state), so the JSONL
-//! export is byte-identical across `--threads`, `--solver-strategy`,
-//! `--dispatch`, `--shards` and cube settings. Strategy-dependent
-//! refinements (the solver's assumption core) ride along in a
-//! separate display-only field that never reaches the canonical
-//! export.
+//! export is byte-identical across `--threads` and
+//! `--solver-strategy`. Strategy-dependent refinements (the solver's
+//! assumption core) ride along in a separate display-only field that
+//! never reaches the canonical export.
 
 use std::collections::HashMap;
 
 use canary_ir::Label;
-use canary_smt::{TermId, TermPool, WorkerLoad};
+use canary_smt::{TermId, TermPool};
 
 use crate::provenance::Fingerprint;
 use crate::report::BugKind;
@@ -390,10 +388,6 @@ pub struct AuditLog {
     /// Mirrors the UNSAT-core subsumption store under the same
     /// term-determined discipline.
     unsat_sets: Vec<(Vec<TermId>, usize)>,
-    /// Per-worker dispatcher loads summed across batches.
-    /// Timing-dependent — exported only as the volatile
-    /// `canary_dispatch_*` metrics family, never in the JSONL.
-    pub dispatch_loads: Vec<WorkerLoad>,
 }
 
 impl AuditLog {
@@ -554,19 +548,6 @@ impl AuditLog {
                     });
                 }
             }
-        }
-    }
-
-    /// Accumulates per-worker dispatcher loads from one solver batch
-    /// (index-wise sum; the vector grows to the largest worker count
-    /// seen).
-    pub fn merge_dispatch_loads(&mut self, loads: &[WorkerLoad]) {
-        if self.dispatch_loads.len() < loads.len() {
-            self.dispatch_loads.resize(loads.len(), WorkerLoad::default());
-        }
-        for (acc, l) in self.dispatch_loads.iter_mut().zip(loads) {
-            acc.families += l.families;
-            acc.stolen += l.stolen;
         }
     }
 
@@ -805,28 +786,5 @@ mod tests {
         assert_eq!(second["certificate"]["fingerprint"], "00000000000000aa");
         // solver_core never reaches the canonical export.
         assert!(second.get("solver_core").is_none());
-    }
-
-    #[test]
-    fn merge_dispatch_loads_sums_per_worker() {
-        let mut log = AuditLog::new();
-        log.merge_dispatch_loads(&[WorkerLoad {
-            families: 2,
-            stolen: 1,
-        }]);
-        log.merge_dispatch_loads(&[
-            WorkerLoad {
-                families: 3,
-                stolen: 0,
-            },
-            WorkerLoad {
-                families: 5,
-                stolen: 4,
-            },
-        ]);
-        assert_eq!(log.dispatch_loads.len(), 2);
-        assert_eq!(log.dispatch_loads[0].families, 5);
-        assert_eq!(log.dispatch_loads[0].stolen, 1);
-        assert_eq!(log.dispatch_loads[1].families, 5);
     }
 }

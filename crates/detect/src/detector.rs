@@ -48,7 +48,7 @@ pub enum MemoryModel {
 /// Options controlling detection.
 #[derive(Clone, Debug)]
 pub struct DetectOptions {
-    /// SMT strategy (§5.2 knobs: prefilter, parallel queries, cubes).
+    /// SMT strategy (§5.2 knobs: prefilter, parallel queries).
     pub solver: SolverOptions,
     /// Path enumeration caps.
     pub limits: PathLimits,
@@ -119,12 +119,6 @@ pub struct DetectStats {
     /// Learned clauses still alive on family solvers at family end —
     /// reuse the fresh strategy discards between queries.
     pub clauses_retained: u64,
-    /// Family members that blew the conflict budget and escalated to
-    /// cube-and-conquer (0 unless `--cube-split` is armed).
-    pub cube_escalated: u64,
-    /// Cache merge barriers executed by the dispatcher (shard epochs;
-    /// deterministic for a fixed shard count and family list).
-    pub epochs: u64,
 }
 
 /// Per-SMT-query attribution record (§5 validation): which candidate
@@ -164,11 +158,8 @@ pub struct QueryProfile {
     pub core_subsumed: bool,
     /// Solved on a persistent family solver.
     pub incremental: bool,
-    /// Blew the per-member conflict budget on the family solver and
-    /// was re-solved by the deterministic cube-and-conquer sweep.
-    pub cubed: bool,
     /// Query-family key the query was grouped under (the candidate's
-    /// source label) — the attribution anchor for escalated queries.
+    /// source label).
     pub family: u64,
     /// Wall time spent solving (not deterministic).
     pub wall: Duration,
@@ -438,8 +429,6 @@ fn validate(
     let outcomes = grouped.outcomes;
     stats.families += grouped.families;
     stats.clauses_retained += grouped.clauses_retained;
-    stats.epochs += grouped.epochs;
-    audit.merge_dispatch_loads(&grouped.worker_loads);
     let mut profiles = Vec::with_capacity(outcomes.len());
     for (qi, (cand, o)) in candidates.iter().zip(&outcomes).enumerate() {
         let (bool_atoms, order_atoms) = count_atoms(pool, cand.query);
@@ -464,7 +453,6 @@ fn validate(
             memo_hit: o.memo_hit,
             core_subsumed: o.core_subsumed,
             incremental: o.incremental,
-            cubed: o.cubed,
             family: cand.family,
             wall: o.wall,
         };
@@ -480,7 +468,6 @@ fn validate(
         stats.memo_hits += u64::from(p.memo_hit);
         stats.core_subsumed += u64::from(p.core_subsumed);
         stats.incremental += u64::from(p.incremental);
-        stats.cube_escalated += u64::from(p.cubed);
         tracer.event(
             LANE_SMT,
             "smt.query",
@@ -508,7 +495,6 @@ fn validate(
                     ("memo_hit", u64::from(p.memo_hit)),
                     ("core_subsumed", u64::from(p.core_subsumed)),
                     ("incremental", u64::from(p.incremental)),
-                    ("cubed", u64::from(p.cubed)),
                 ];
                 if p.sat {
                     args.push(("report_fp", fp.0));
@@ -524,7 +510,7 @@ fn validate(
                     "canary: slow-query: {} {}->{} took {:?} (budget {budget_ms}ms): \
                      family={} path_len={} bool_atoms={} order_atoms={} decisions={} \
                      conflicts={} propagations={} learned={} theory_lemmas={} sat={} \
-                     prefiltered={} memo_hit={} core_subsumed={} incremental={} cubed={}",
+                     prefiltered={} memo_hit={} core_subsumed={} incremental={}",
                     p.kind,
                     p.source.0,
                     p.sink.0,
@@ -543,41 +529,16 @@ fn validate(
                     p.memo_hit,
                     p.core_subsumed,
                     p.incremental,
-                    p.cubed,
                 );
             }
         }
         profiles.push(p);
     }
     canary_trace::log(canary_trace::LogLevel::Summary, || {
-        // Per-worker loads and steal counts are timing-dependent, so
-        // they stay out of DetectStats and the deterministic registry
-        // families; besides this heartbeat line they surface only as
-        // the *volatile* `canary_dispatch_*` family, which the
-        // determinism normalizers drop wholesale.
-        let loads = grouped
-            .worker_loads
-            .iter()
-            .map(|l| {
-                if l.stolen > 0 {
-                    format!("{}(+{} stolen)", l.families, l.stolen)
-                } else {
-                    format!("{}", l.families)
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("/");
-        let loads = if loads.is_empty() {
-            String::new()
-        } else {
-            format!(", worker families {loads}")
-        };
         format!(
-            "detect: {kind}: {} quer(ies) across {} famil(ies) solved \
-             in {} epoch(s){loads}",
+            "detect: {kind}: {} quer(ies) across {} famil(ies)",
             outcomes.len(),
             grouped.families,
-            grouped.epochs,
         )
     });
     // First-confirmed fingerprint per (kind, source, sink): later

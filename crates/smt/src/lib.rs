@@ -16,8 +16,9 @@
 //! * [`theory`] — the order theory: a model is consistent iff its
 //!   oriented order edges are acyclic;
 //! * [`check`]/[`check_all`] — the lazy CDCL(T) loop plus the §5.2
-//!   optimizations (semi-decision prefilter, per-query parallelism,
-//!   cube-and-conquer).
+//!   optimizations (semi-decision prefilter, per-query parallelism);
+//! * [`check_all_grouped`] — query families solved incrementally on
+//!   one persistent solver each.
 //!
 //! # Examples
 //!
@@ -56,9 +57,8 @@ pub use sat::{Lit, SatResult, SatSolver, SatStats, Var};
 pub use simplify::{obviously_false, obviously_true};
 pub use solver::{
     check, check_all, check_all_grouped, check_all_recorded, check_counted, check_witness,
-    check_witness_model, Dispatch, GroupedOutcome, QueryCache, QueryOutcome, QueryStats, SmtResult,
-    SolverOptions, SolverStats, SolverStrategy, WitnessModel, WorkerLoad, DEFAULT_CUBE_BUDGET,
-    DEFAULT_SHARDS,
+    check_witness_model, GroupedOutcome, QueryCache, QueryOutcome, QueryStats, SmtResult,
+    SolverOptions, SolverStats, SolverStrategy, WitnessModel,
 };
 pub use scratch::{ScratchLog, ScratchPool, TermRemap};
 pub use term::{AtomSet, EventId, Node, TermBuild, TermId, TermPool};

@@ -521,74 +521,46 @@ impl SatSolver {
         self.solve_with_assumptions(&[])
     }
 
-    /// Solves under the given assumption literals (used by
-    /// cube-and-conquer, §5.2).
+    /// Solves under the given assumption literals (the activation
+    /// literals of a query-family member, §5.2).
     ///
     /// Invariant (MiniSat-style): decision levels `1..=k` hold the `k`
     /// assumptions, so a conflict raised while only assumptions have
     /// been decided means the clause set is unsatisfiable *under the
     /// assumptions*; learned clauses remain valid for later calls.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_bounded(assumptions, u64::MAX)
-            .expect("unbounded solve always terminates with a verdict")
-    }
-
-    /// Like [`SatSolver::solve_with_assumptions`], but gives up after
-    /// `max_conflicts` conflicts analyzed *in this call*, returning
-    /// `None`. On `None` the trail is rewound to level 0 and the solver
-    /// stays fully usable — clauses learned before the budget ran out
-    /// are retained, so a retry (or an escalation to cube-and-conquer
-    /// on a fresh solver) loses no soundness. This is the
-    /// hardness-detection probe behind `--cube-split`.
-    pub fn solve_with_assumptions_limited(
-        &mut self,
-        assumptions: &[Lit],
-        max_conflicts: u64,
-    ) -> Option<SatResult> {
-        self.solve_bounded(assumptions, max_conflicts)
-    }
-
-    fn solve_bounded(&mut self, assumptions: &[Lit], max_conflicts: u64) -> Option<SatResult> {
         self.last_core.clear();
         if !self.ok {
-            return Some(SatResult::Unsat);
+            return SatResult::Unsat;
         }
         self.backtrack_to(0);
         if self.propagate().is_some() {
             self.ok = false;
-            return Some(SatResult::Unsat);
+            return SatResult::Unsat;
         }
         let k = assumptions.len() as u32;
-        let mut conflicts_this_call = 0u64;
         let mut conflicts_since_restart = 0u64;
         let mut restart_idx = 0u64;
         let mut restart_budget = 100 * luby(restart_idx);
         loop {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
-                conflicts_this_call += 1;
                 conflicts_since_restart += 1;
                 if self.decision_level() == 0 {
                     self.ok = false;
-                    return Some(SatResult::Unsat);
+                    return SatResult::Unsat;
                 }
                 if self.decision_level() <= k {
                     // Every decision on the trail is an assumption, so
                     // the conflict follows from clauses + assumptions.
                     let seeds = self.clauses[confl as usize].lits.clone();
                     self.last_core = self.analyze_final(&seeds);
-                    return Some(SatResult::Unsat);
+                    return SatResult::Unsat;
                 }
                 let (learnt, bt) = self.analyze(confl);
                 self.backtrack_to(bt);
                 self.record_learnt(learnt);
                 self.var_inc *= 1.0 / 0.95;
-                if conflicts_this_call >= max_conflicts {
-                    // Budget exhausted without a verdict. Keep the
-                    // learnt clauses, drop the partial assignment.
-                    self.backtrack_to(0);
-                    return None;
-                }
                 if conflicts_since_restart > restart_budget {
                     self.stats.restarts += 1;
                     conflicts_since_restart = 0;
@@ -614,7 +586,7 @@ impl SatSolver {
                         core.sort_unstable();
                         core.dedup();
                         self.last_core = core;
-                        return Some(SatResult::Unsat);
+                        return SatResult::Unsat;
                     }
                     LBool::Undef => {
                         self.trail_lim.push(self.trail.len() as u32);
@@ -629,7 +601,7 @@ impl SatSolver {
                             .iter()
                             .map(|&a| a == LBool::True)
                             .collect();
-                        return Some(SatResult::Sat(model));
+                        return SatResult::Sat(model);
                     }
                     Some(l) => {
                         self.stats.decisions += 1;
@@ -851,36 +823,6 @@ mod tests {
         for (i, &e) in expect.iter().enumerate() {
             assert_eq!(luby(i as u64), e, "luby({i})");
         }
-    }
-
-    #[test]
-    fn limited_solve_gives_up_and_solver_stays_usable() {
-        // Pigeonhole 3→2 needs several conflicts; a one-conflict budget
-        // cannot reach a verdict, but the solver must stay usable and
-        // an unbounded retry must still conclude unsat.
-        let var = |i: usize, j: usize| (i * 2 + j + 1) as i32;
-        let mut clauses: Vec<Vec<i32>> = Vec::new();
-        for i in 0..3 {
-            clauses.push(vec![var(i, 0), var(i, 1)]);
-        }
-        for j in 0..2 {
-            for i1 in 0..3 {
-                for i2 in (i1 + 1)..3 {
-                    clauses.push(vec![-var(i1, j), -var(i2, j)]);
-                }
-            }
-        }
-        let refs: Vec<&[i32]> = clauses.iter().map(Vec::as_slice).collect();
-        let mut s = solver_with(6, &refs);
-        assert_eq!(s.solve_with_assumptions_limited(&[], 1), None);
-        assert!(s.is_ok(), "a budget exhaustion is not a verdict");
-        assert_eq!(s.solve(), SatResult::Unsat);
-        // A generous budget agrees with the unbounded call.
-        let mut s2 = solver_with(6, &refs);
-        assert_eq!(
-            s2.solve_with_assumptions_limited(&[], 1_000_000),
-            Some(SatResult::Unsat)
-        );
     }
 
     #[test]

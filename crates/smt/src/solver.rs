@@ -2,16 +2,18 @@
 //!
 //! The propositional skeleton of `Φ_all` is solved by the CDCL core;
 //! full models are checked against the strict-partial-order theory, and
-//! theory conflicts come back as blocking lemmas. Three §5.2
-//! optimizations are implemented and individually switchable for the
-//! ablation benches:
+//! theory conflicts come back as blocking lemmas. Two §5.2
+//! optimizations are implemented:
 //!
-//! 1. the semi-decision *prefilter* ([`crate::simplify`]);
-//! 2. *parallel portfolio* solving of independent queries (one query per
+//! 1. the semi-decision *prefilter* ([`crate::simplify`]), switchable
+//!    for the ablation benches;
+//! 2. *parallel* solving of independent queries (one query per
 //!    source-sink path — they share nothing, so they parallelize
-//!    embarrassingly);
-//! 3. *cube-and-conquer* splitting of a single hard query on its most
-//!    frequent atoms.
+//!    embarrassingly).
+//!
+//! The third, *cube-and-conquer* splitting of a single hard query, is
+//! not implemented: on the hard-family subjects it left the solver work
+//! unchanged (see `docs/performance.md`).
 //!
 //! On top of these sits the *query-family* back-end
 //! ([`check_all_grouped`], [`SolverStrategy::Incremental`]): related
@@ -25,7 +27,8 @@
 //! CDCL core at all.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::cnf::{encode, encode_gated, Encoding};
@@ -67,7 +70,7 @@ pub enum SolverStrategy {
 }
 
 impl SolverStrategy {
-    /// Parses a CLI / env spelling of a strategy.
+    /// Parses a CLI spelling of a strategy.
     pub fn parse(s: &str) -> Option<SolverStrategy> {
         match s {
             "fresh" => Some(SolverStrategy::Fresh),
@@ -83,103 +86,24 @@ impl SolverStrategy {
             SolverStrategy::Incremental => "incremental",
         }
     }
-
-    /// The default strategy, overridable via `CANARY_SOLVER_STRATEGY`
-    /// (the same pattern `CANARY_TEST_THREADS` uses for the thread
-    /// count, so CI can ablate without touching every invocation).
-    pub fn from_env() -> SolverStrategy {
-        match std::env::var("CANARY_SOLVER_STRATEGY") {
-            Ok(v) => SolverStrategy::parse(&v).unwrap_or(SolverStrategy::Incremental),
-            Err(_) => SolverStrategy::Incremental,
-        }
-    }
 }
 
-/// How [`check_all_grouped`] schedules query families across worker
-/// threads.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Fixed batching (the ablation baseline): families are split into
-    /// `num_threads` contiguous chunks, one sweep per worker, with a
-    /// single frozen cache snapshot and one merge barrier for the whole
-    /// batch. A worker that drew a cheap chunk idles while the others
-    /// finish.
-    Static,
-    /// Sharded work stealing (the default): families are sharded by
-    /// group key, workers drain their home shard and then steal whole
-    /// families from other shards in a deterministic scan order; the
-    /// cache snapshot rotates at shard-epoch boundaries that depend
-    /// only on the family list and the shard count — never on worker
-    /// timing — so outcomes stay byte-identical for every thread count.
-    WorkSteal,
-}
-
-impl Dispatch {
-    /// Parses a CLI / env spelling of a dispatcher.
-    pub fn parse(s: &str) -> Option<Dispatch> {
-        match s {
-            "static" => Some(Dispatch::Static),
-            "worksteal" => Some(Dispatch::WorkSteal),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Dispatch::Static => "static",
-            Dispatch::WorkSteal => "worksteal",
-        }
-    }
-
-    /// The default dispatcher, overridable via `CANARY_DISPATCH` (the
-    /// same env-ablation pattern as `CANARY_SOLVER_STRATEGY`).
-    pub fn from_env() -> Dispatch {
-        match std::env::var("CANARY_DISPATCH") {
-            Ok(v) => Dispatch::parse(&v).unwrap_or(Dispatch::WorkSteal),
-            Err(_) => Dispatch::WorkSteal,
-        }
-    }
-}
-
-/// Shard count the work-stealing dispatcher uses when
-/// [`SolverOptions::shards`] is 0 (auto). Deliberately independent of
-/// the worker thread count: shard-epoch boundaries (and therefore
-/// cache-snapshot visibility) must be identical for every `--threads`
-/// value.
-pub const DEFAULT_SHARDS: usize = 8;
-
-/// Families per shard in one epoch: an epoch spans
-/// `shards × EPOCH_FAMILIES_PER_SHARD` families in family order.
-const EPOCH_FAMILIES_PER_SHARD: usize = 2;
-
-/// Default conflict budget per family member before a
-/// `cube_split`-armed run escalates to cube-and-conquer.
-pub const DEFAULT_CUBE_BUDGET: u64 = 256;
+/// Families per cache epoch in [`check_all_grouped`]. Epoch boundaries
+/// depend only on the family list — never on the worker count — so the
+/// cache snapshot each family sees, and therefore every outcome, is the
+/// same for every `num_threads`.
+const EPOCH_FAMILIES: usize = 16;
 
 /// Options controlling the solving strategy.
 #[derive(Clone, Debug)]
 pub struct SolverOptions {
     /// Apply the semi-decision prefilter before full solving.
     pub prefilter: bool,
-    /// Worker threads for [`check_all`]; 1 disables parallelism.
+    /// Worker threads for [`check_all`] and [`check_all_grouped`]; 1
+    /// disables parallelism.
     pub num_threads: usize,
-    /// Atoms to split on for cube-and-conquer (0 disables). Under the
-    /// incremental strategy this arms *hardness escalation*: a family
-    /// member that exceeds [`SolverOptions::cube_budget`] conflicts on
-    /// the persistent solver is re-solved by a deterministic cube
-    /// sweep (§5.2 opt. 3).
-    pub cube_split: usize,
-    /// Conflict budget per family member before a `cube_split`-armed
-    /// run escalates. Ignored when `cube_split` is 0.
-    pub cube_budget: u64,
     /// Fresh-per-query or incremental query-family solving.
     pub strategy: SolverStrategy,
-    /// How grouped batches are scheduled across worker threads.
-    pub dispatch: Dispatch,
-    /// Shard count for the work-stealing dispatcher (0 = auto,
-    /// [`DEFAULT_SHARDS`]).
-    pub shards: usize,
 }
 
 impl Default for SolverOptions {
@@ -187,11 +111,7 @@ impl Default for SolverOptions {
         SolverOptions {
             prefilter: true,
             num_threads: 1,
-            cube_split: 0,
-            cube_budget: DEFAULT_CUBE_BUDGET,
-            strategy: SolverStrategy::from_env(),
-            dispatch: Dispatch::from_env(),
-            shards: 0,
+            strategy: SolverStrategy::Incremental,
         }
     }
 }
@@ -222,9 +142,6 @@ pub struct SolverStats {
     pub memo_hits: AtomicU64,
     /// Queries refuted by UNSAT-core subsumption.
     pub core_subsumed: AtomicU64,
-    /// Family members that blew the conflict budget and escalated to
-    /// cube-and-conquer (0 unless `cube_split` is armed).
-    pub cube_escalated: AtomicU64,
 }
 
 impl SolverStats {
@@ -249,11 +166,9 @@ impl SolverStats {
 /// Per-query solver work counters — the unit of attribution the
 /// observability layer reports (which query was hot, and why).
 ///
-/// For the default strategy (no cube-and-conquer) the counters are
-/// fully deterministic: the CDCL core explores the same tree for the
-/// same clauses, regardless of how many *other* queries solve
-/// concurrently. Under cube-and-conquer the early-exit race makes the
-/// counts best-effort.
+/// The counters are fully deterministic: the CDCL core explores the
+/// same tree for the same clauses, regardless of how many *other*
+/// queries solve concurrently.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// The query was answered by the semi-decision prefilter alone.
@@ -271,19 +186,6 @@ pub struct QueryStats {
     pub learned: u64,
     /// Theory (order-cycle) lemmas fed back into the SAT core.
     pub theory_lemmas: u64,
-}
-
-impl QueryStats {
-    /// Sums another query's counters into this one.
-    pub fn merge(&mut self, other: &QueryStats) {
-        self.prefiltered |= other.prefiltered;
-        self.decisions += other.decisions;
-        self.conflicts += other.conflicts;
-        self.propagations += other.propagations;
-        self.restarts += other.restarts;
-        self.learned += other.learned;
-        self.theory_lemmas += other.theory_lemmas;
-    }
 }
 
 /// Decides one term with the CDCL(T) loop.
@@ -313,33 +215,18 @@ pub fn check_counted(
         }
     }
     stats.solved.fetch_add(1, Ordering::Relaxed);
-    let res = if opts.cube_split > 0 && opts.num_threads > 1 {
-        cube_and_conquer(pool, t, opts, stats, &mut q)
-    } else {
-        check_with_assumptions(pool, t, &[], stats, &mut q)
-    };
+    let res = solve_fresh(pool, t, stats, &mut q);
     stats.absorb(&q);
     (res, q)
 }
 
-/// The core lazy CDCL(T) loop, optionally under cube assumptions given
-/// as (bool atom index, value) pairs.
-fn check_with_assumptions(
-    pool: &TermPool,
-    t: TermId,
-    cube: &[(u32, bool)],
-    stats: &SolverStats,
-    q: &mut QueryStats,
-) -> SmtResult {
+/// The core lazy CDCL(T) loop on a fresh solver.
+fn solve_fresh(pool: &TermPool, t: TermId, stats: &SolverStats, q: &mut QueryStats) -> SmtResult {
     let mut sat = SatSolver::new();
     let mut enc = Encoding::default();
     encode(pool, t, &mut sat, &mut enc);
-    let assumptions: Vec<Lit> = cube
-        .iter()
-        .filter_map(|&(atom, val)| enc.bool_vars.get(&atom).map(|&v| Lit::new(v, val)))
-        .collect();
     let result = loop {
-        match sat.solve_with_assumptions(&assumptions) {
+        match sat.solve() {
             SatResult::Unsat => break SmtResult::Unsat,
             SatResult::Sat(model) => {
                 let oriented = enc.oriented_edges(&model);
@@ -378,75 +265,6 @@ fn check_with_assumptions(
     q.restarts += sat.stats.restarts;
     q.learned += sat.num_learnt() as u64;
     result
-}
-
-/// Cube-and-conquer (§5.2): split on the most frequent Boolean atoms
-/// and solve the cubes in parallel, each in its own solver.
-fn cube_and_conquer(
-    pool: &TermPool,
-    t: TermId,
-    opts: &SolverOptions,
-    stats: &SolverStats,
-    q: &mut QueryStats,
-) -> SmtResult {
-    let atoms = pick_split_atoms(pool, t, opts.cube_split);
-    if atoms.is_empty() {
-        return check_with_assumptions(pool, t, &[], stats, q);
-    }
-    let n_cubes = 1usize << atoms.len();
-    let found_sat = AtomicBool::new(false);
-    let next = AtomicU64::new(0);
-    let agg = std::sync::Mutex::new(QueryStats::default());
-    let workers = opts.num_threads.min(n_cubes).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                if i >= n_cubes || found_sat.load(Ordering::Relaxed) {
-                    return;
-                }
-                let cube: Vec<(u32, bool)> = atoms
-                    .iter()
-                    .enumerate()
-                    .map(|(bit, &a)| (a, (i >> bit) & 1 == 1))
-                    .collect();
-                let mut local = QueryStats::default();
-                let res = check_with_assumptions(pool, t, &cube, stats, &mut local);
-                agg.lock().expect("no poisoning").merge(&local);
-                if res == SmtResult::Sat {
-                    found_sat.store(true, Ordering::Relaxed);
-                    return;
-                }
-            });
-        }
-    });
-    q.merge(&agg.into_inner().expect("scope joined"));
-    if found_sat.load(Ordering::Relaxed) {
-        SmtResult::Sat
-    } else {
-        SmtResult::Unsat
-    }
-}
-
-/// Picks up to `k` Boolean atoms by occurrence count for splitting.
-fn pick_split_atoms(pool: &TermPool, t: TermId, k: usize) -> Vec<u32> {
-    let mut counts: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    let mut stack = vec![t];
-    let mut seen = std::collections::HashSet::new();
-    while let Some(x) = stack.pop() {
-        if !seen.insert(x) {
-            continue;
-        }
-        match pool.node(x) {
-            Node::BoolAtom(i) => *counts.entry(*i).or_insert(0) += 1,
-            Node::Not(inner) => stack.push(*inner),
-            Node::And(xs) | Node::Or(xs) => stack.extend(xs.iter().copied()),
-            _ => {}
-        }
-    }
-    let mut atoms: Vec<(u32, usize)> = counts.into_iter().collect();
-    atoms.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    atoms.into_iter().take(k).map(|(a, _)| a).collect()
 }
 
 /// A satisfying theory model of a query, in replay-friendly form: the
@@ -600,9 +418,6 @@ pub struct QueryOutcome {
     /// Solved on a persistent family solver via assumption literals
     /// (as opposed to the fresh-per-query path or a cache hit).
     pub incremental: bool,
-    /// Blew the per-member conflict budget on the family solver and was
-    /// re-solved by the deterministic cube-and-conquer sweep.
-    pub cubed: bool,
     /// On refutation under the incremental strategy: the refuted
     /// conjunct set (the assumption core mapped back to named
     /// conjuncts, or the subsuming cached core). Strategy-dependent —
@@ -635,9 +450,9 @@ pub fn check_all_recorded(
     opts: &SolverOptions,
     stats: &SolverStats,
 ) -> Vec<QueryOutcome> {
-    let solve_one = |q: TermId, o: &SolverOptions| -> QueryOutcome {
+    par_map(queries, opts.num_threads, |&q| {
         let started = Instant::now();
-        let (result, qstats) = check_counted(pool, q, o, stats);
+        let (result, qstats) = check_counted(pool, q, opts, stats);
         QueryOutcome {
             result,
             stats: qstats,
@@ -646,35 +461,33 @@ pub fn check_all_recorded(
             memo_hit: false,
             core_subsumed: false,
             incremental: false,
-            cubed: false,
             core: None,
         }
-    };
-    if opts.num_threads <= 1 || queries.len() <= 1 {
-        return queries.iter().map(|&q| solve_one(q, opts)).collect();
+    })
+}
+
+/// Applies `f` to every item on at most `threads` scoped workers, which
+/// claim items from one atomic cursor; results come back in item order.
+fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = threads.min(items.len()).max(1);
+    if workers <= 1 {
+        return items.iter().map(f).collect();
     }
-    let next = AtomicU64::new(0);
-    let results: Vec<std::sync::Mutex<Option<QueryOutcome>>> =
-        queries.iter().map(|_| std::sync::Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..opts.num_threads {
+        for _ in 0..workers {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                if i >= queries.len() {
-                    return;
-                }
-                let sequential = SolverOptions {
-                    num_threads: 1,
-                    ..opts.clone()
-                };
-                let r = solve_one(queries[i], &sequential);
-                *results[i].lock().expect("no poisoning: workers do not panic") = Some(r);
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { return };
+                let r = f(item);
+                *slots[i].lock().expect("no poisoning: workers do not panic") = Some(r);
             });
         }
     });
-    results
+    slots
         .into_iter()
-        .map(|m| m.into_inner().expect("scope joined").expect("all indices visited"))
+        .map(|m| m.into_inner().expect("scope joined").expect("every item claimed"))
         .collect()
 }
 
@@ -685,7 +498,7 @@ pub fn check_all_recorded(
 /// Both parts are *semantically* deterministic: the memo value for a
 /// term is its theory satisfiability (independent of which family
 /// solved it first), and cores are appended in family-commit order at
-/// the batch barrier, so lookups never depend on scheduling.
+/// the epoch barrier, so lookups never depend on scheduling.
 #[derive(Debug, Default)]
 pub struct QueryCache {
     /// Hash-consed query term → verdict.
@@ -741,7 +554,7 @@ impl QueryCache {
     }
 
     /// Merges another cache into this one (used at the deterministic
-    /// per-batch barrier, in family-commit order).
+    /// per-epoch barrier, in family-commit order).
     pub fn merge(&mut self, other: QueryCache) {
         for (t, r) in other.memo {
             self.memoize(t, r);
@@ -807,26 +620,6 @@ pub struct GroupedOutcome {
     /// Learned clauses alive on family solvers at family end — the
     /// state the fresh strategy would have thrown away between queries.
     pub clauses_retained: u64,
-    /// Cache merge barriers executed: shard epochs under
-    /// [`Dispatch::WorkSteal`], 1 for the static dispatcher's single
-    /// batch barrier, 0 under [`SolverStrategy::Fresh`]. Depends only
-    /// on the family list and the shard count, never on worker timing.
-    pub epochs: u64,
-    /// Per-worker load record. Timing-dependent — surfaced only through
-    /// the volatile `canary_dispatch_*` metrics family and the stderr
-    /// progress heartbeat, never through deterministic counters,
-    /// reports, or the canonical audit export.
-    pub worker_loads: Vec<WorkerLoad>,
-}
-
-/// How much work one dispatcher worker ended up doing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorkerLoad {
-    /// Families this worker solved.
-    pub families: u64,
-    /// Of those, families claimed from a shard other than the worker's
-    /// home shard (always 0 under [`Dispatch::Static`]).
-    pub stolen: u64,
 }
 
 /// Persistent per-family solver state: one [`SatSolver`] carrying the
@@ -836,11 +629,11 @@ struct FamilySolver {
     sat: SatSolver,
     enc: Encoding,
     acts: HashMap<TermId, Lit>,
-    /// Activation literal per shared-prefix conjunct, in prefix order.
-    /// Empty when the prefix is asserted outright (ungated). The
-    /// work-stealing dispatcher gates the prefix too, so assumption
-    /// cores name exactly the responsible conjuncts — shared or delta —
-    /// which leaves the smallest, most subsuming cores in the cache.
+    /// Activation literal per shared-prefix conjunct, in prefix order
+    /// (empty when the family shares no conjunct). Gating the prefix
+    /// lets assumption cores name exactly the responsible conjuncts —
+    /// shared or delta — which leaves the smallest, most subsuming
+    /// cores in the cache.
     shared_acts: Vec<(TermId, Lit)>,
     /// Order atoms mentioned by the shared prefix.
     shared_orders: HashSet<(EventId, EventId)>,
@@ -849,20 +642,16 @@ struct FamilySolver {
 }
 
 impl FamilySolver {
-    fn new(pool: &TermPool, shared: &[TermId], gate_shared: bool) -> FamilySolver {
+    fn new(pool: &TermPool, shared: &[TermId]) -> FamilySolver {
         let mut sat = SatSolver::new();
         let mut enc = Encoding::default();
         let mut shared_orders = HashSet::new();
         let mut seen = HashSet::new();
         let mut shared_acts = Vec::new();
         for &c in shared {
-            if gate_shared {
-                let l = Lit::pos(sat.new_var());
-                encode_gated(pool, c, &mut sat, &mut enc, l);
-                shared_acts.push((c, l));
-            } else {
-                encode(pool, c, &mut sat, &mut enc);
-            }
+            let l = Lit::pos(sat.new_var());
+            encode_gated(pool, c, &mut sat, &mut enc, l);
+            shared_acts.push((c, l));
             collect_order_atoms(pool, c, &mut seen, &mut shared_orders);
         }
         FamilySolver {
@@ -917,20 +706,20 @@ struct FamilyOutput {
 /// Solves one query family on a persistent solver.
 ///
 /// The shared conjunct prefix (intersection of all members' conjunct
-/// sets) is asserted outright; each member then becomes one
-/// `solve_with_assumptions` call over the activation literals of its
-/// delta conjuncts. Learned clauses stay valid across members because
-/// the gating clauses are part of the clause set, and theory lemmas
-/// are globally valid (they block cyclic orientations). `snapshot` is
-/// the cache state at batch start — shared by every family in the
-/// batch so results cannot depend on family scheduling.
+/// sets) is encoded once, each conjunct behind its own activation
+/// literal; each member then becomes one `solve_with_assumptions` call
+/// over the activation literals of the prefix and of its delta
+/// conjuncts. Learned clauses stay valid across members because the
+/// gating clauses are part of the clause set, and theory lemmas are
+/// globally valid (they block cyclic orientations). `snapshot` is the
+/// cache state at epoch start — shared by every family in the epoch so
+/// results cannot depend on family scheduling.
 fn solve_family(
     pool: &TermPool,
     queries: &[TermId],
     opts: &SolverOptions,
     stats: &SolverStats,
     snapshot: &QueryCache,
-    gate_shared: bool,
 ) -> FamilyOutput {
     let conjs: Vec<Vec<TermId>> = queries.iter().map(|&t| pool.conjuncts_of(t)).collect();
     let mut shared = conjs[0].clone();
@@ -956,7 +745,6 @@ fn solve_family(
         let mut memo_hit = false;
         let mut core_subsumed = false;
         let mut incremental = false;
-        let mut cubed = false;
         let mut core: Option<Vec<TermId>> = None;
         // The prefilter runs first in both strategies, so the
         // `prefiltered` counter is strategy-invariant.
@@ -986,7 +774,7 @@ fn solve_family(
             stats.solved.fetch_add(1, Ordering::Relaxed);
             incremental = true;
             let was_absent = fam.is_none();
-            let fam = fam.get_or_insert_with(|| FamilySolver::new(pool, &shared, gate_shared));
+            let fam = fam.get_or_insert_with(|| FamilySolver::new(pool, &shared));
             // The member that forced solver construction also pays for
             // encoding the shared prefix (as the fresh path would).
             let base = if was_absent {
@@ -994,9 +782,8 @@ fn solve_family(
             } else {
                 fam.sat.stats
             };
-            let (r, escalated, member_core) =
-                solve_member(pool, fam, t, &shared, &conjs[i], opts, stats, &mut q, &mut local, base);
-            cubed = escalated;
+            let (r, member_core) =
+                solve_member(pool, fam, &shared, &conjs[i], stats, &mut q, &mut local, base);
             core = member_core;
             stats.absorb(&q);
             local.memoize(t, r);
@@ -1010,7 +797,6 @@ fn solve_family(
             memo_hit,
             core_subsumed,
             incremental,
-            cubed,
             core,
         });
     }
@@ -1025,23 +811,21 @@ fn solve_family(
 }
 
 /// One member's CDCL(T) loop on the persistent family solver. On
-/// refutation, records the refuted conjunct set (shared prefix plus
-/// the assumption core's delta conjuncts) into `local` and returns it
-/// as the member's certificate. `base` is the solver-counter baseline
+/// refutation, records the refuted conjunct set (the conjuncts named by
+/// the assumption core) into `local` and returns it as the member's
+/// certificate. `base` is the solver-counter baseline
 /// this member's work is measured against.
 #[allow(clippy::too_many_arguments)]
 fn solve_member(
     pool: &TermPool,
     fam: &mut FamilySolver,
-    t: TermId,
     shared: &[TermId],
     conj: &[TermId],
-    opts: &SolverOptions,
     stats: &SolverStats,
     q: &mut QueryStats,
     local: &mut QueryCache,
     base: SatStats,
-) -> (SmtResult, bool, Option<Vec<TermId>>) {
+) -> (SmtResult, Option<Vec<TermId>>) {
     let deltas = sorted_diff(conj, shared);
     let mut assumptions = Vec::with_capacity(fam.shared_acts.len() + deltas.len());
     let mut by_lit: HashMap<Lit, TermId> =
@@ -1088,68 +872,10 @@ fn solve_member(
     }
     let before = base;
     let learnt_before = fam.sat.num_learnt() as u64;
-    // Hardness budget (§5.2 opt. 3): with cube splitting armed, a
-    // member that burns through the conflict budget on the family
-    // solver escalates to a deterministic cube sweep *on the same
-    // solver* — the cubes are extra assumption literals over the
-    // member's own atoms, so the Tseitin encoding, the learnt clauses
-    // of the budgeted attempt, and every lemma learnt under one cube
-    // carry over to the next. Sequential sweep on purpose: a parallel
-    // sweep with an early Sat exit would make the per-query work
-    // counters depend on thread timing, breaking their
-    // thread-invariance contract (the metrics registry is compared
-    // byte-for-byte across `--threads` values).
-    let budget = if opts.cube_split > 0 {
-        opts.cube_budget.max(1)
-    } else {
-        u64::MAX
-    };
-    let mut cubed = false;
-    let mut split: Vec<Var> = Vec::new();
-    let mut cube_idx = 0usize;
     let result = loop {
-        let solved = if cubed {
-            let mut under_cube = assumptions.clone();
-            under_cube.extend(
-                split
-                    .iter()
-                    .enumerate()
-                    .map(|(bit, &v)| Lit::new(v, (cube_idx >> bit) & 1 == 1)),
-            );
-            Some(fam.sat.solve_with_assumptions(&under_cube))
-        } else {
-            let spent = fam.sat.stats.conflicts - before.conflicts;
-            if budget == u64::MAX {
-                Some(fam.sat.solve_with_assumptions(&assumptions))
-            } else {
-                match budget.checked_sub(spent).filter(|&r| r > 0) {
-                    Some(remaining) => {
-                        fam.sat.solve_with_assumptions_limited(&assumptions, remaining)
-                    }
-                    None => None,
-                }
-            }
-        };
-        match solved {
-            None => {
-                stats.cube_escalated.fetch_add(1, Ordering::Relaxed);
-                cubed = true;
-                split = member_split_vars(pool, t, opts.cube_split, fam, &deltas);
-                cube_idx = 0;
-                if std::env::var_os("CANARY_SMT_DEBUG").is_some() {
-                    eprintln!(
-                        "[smt-debug] escalate: deltas={} split={} cubes={}",
-                        deltas.len(),
-                        split.len(),
-                        1usize << split.len(),
-                    );
-                }
-            }
-            Some(SatResult::Unsat) if cubed && cube_idx + 1 < (1usize << split.len()) => {
-                cube_idx += 1;
-            }
-            Some(SatResult::Unsat) => break SmtResult::Unsat,
-            Some(SatResult::Sat(model)) => {
+        match fam.sat.solve_with_assumptions(&assumptions) {
+            SatResult::Unsat => break SmtResult::Unsat,
+            SatResult::Sat(model) => {
                 let oriented = fam.enc.oriented_edges(&model);
                 let edges: Vec<OrderEdge> = oriented
                     .iter()
@@ -1183,16 +909,6 @@ fn solve_member(
             }
         }
     };
-    if std::env::var_os("CANARY_SMT_DEBUG").is_some() {
-        eprintln!(
-            "[smt-debug] member: vars={} assumptions={} decisions=+{} props=+{} lemmas={} result={result:?}",
-            fam.sat.num_vars(),
-            assumptions.len(),
-            fam.sat.stats.decisions - before.decisions,
-            fam.sat.stats.propagations - before.propagations,
-            q.theory_lemmas,
-        );
-    }
     q.decisions += fam.sat.stats.decisions - before.decisions;
     q.conflicts += fam.sat.stats.conflicts - before.conflicts;
     q.propagations += fam.sat.stats.propagations - before.propagations;
@@ -1200,17 +916,11 @@ fn solve_member(
     q.learned += fam.sat.num_learnt() as u64 - learnt_before;
     let mut core = None;
     if result == SmtResult::Unsat {
-        let refuted = if cubed {
-            // Refuted by the cube sweep: each per-cube assumption core
-            // names cube literals, not just conjunct activations, so no
-            // minimal conjunct core can be certified — record the full
-            // conjunct set (sound: any superset is unsat too).
-            conj.to_vec()
-        } else if fam.sat.is_ok() {
+        let refuted = if fam.sat.is_ok() {
             if fam.shared_acts.is_empty() {
-                // Ungated shared prefix: it is asserted outright, so it
-                // is implicitly part of every refutation — record the
-                // prefix plus the deltas in the assumption core.
+                // No shared prefix: record the deltas in the assumption
+                // core (an empty set is not cached, see
+                // `QueryCache::insert_core`).
                 let mut set: Vec<TermId> = shared.to_vec();
                 for l in fam.sat.assumption_core() {
                     if let Some(&d) = by_lit.get(l) {
@@ -1221,10 +931,9 @@ fn solve_member(
                 set.dedup();
                 set
             } else {
-                // Gated shared prefix: the assumption core names
-                // exactly the responsible conjuncts, shared or delta —
-                // the smallest, most subsuming core the solver can
-                // certify.
+                // The assumption core names exactly the responsible
+                // conjuncts, shared or delta — the smallest, most
+                // subsuming core the solver can certify.
                 let mut set: Vec<TermId> = fam
                     .sat
                     .assumption_core()
@@ -1242,70 +951,31 @@ fn solve_member(
                 }
             }
         } else if fam.shared_acts.is_empty() {
-            // The clause set alone went unsat: definitions are
-            // conservative, gating clauses are satisfiable by leaving
-            // activations off, and lemmas are theory-valid — so the
-            // shared prefix by itself is refuted.
+            // The clause set alone went unsat with no shared prefix to
+            // blame: nothing is cached.
             shared.to_vec()
         } else {
-            // Fully gated encoding refuted at clause level: still a
-            // sound refutation of this member's formula, but nothing
-            // smaller can be certified.
+            // Refuted at clause level: still a sound refutation of this
+            // member's formula, but nothing smaller can be certified.
             conj.to_vec()
         };
         local.insert_core(refuted.clone());
         core = Some(refuted);
     }
-    (result, cubed, core)
-}
-
-/// Deterministic split variables for one member's cube escalation: the
-/// member's most frequent Boolean atoms first (mirroring
-/// [`pick_split_atoms`]), topped up with its delta order atoms, all
-/// resolved to family-solver variables so the cubes can ride the
-/// persistent encoding as assumption literals. Inter-thread queries
-/// are dominated by order atoms, so the top-up is what usually feeds
-/// the sweep. At most `k` variables (≤ `2^k` cubes). An empty result
-/// degenerates into one unbudgeted re-solve on the family solver.
-fn member_split_vars(
-    pool: &TermPool,
-    t: TermId,
-    k: usize,
-    fam: &FamilySolver,
-    deltas: &[TermId],
-) -> Vec<Var> {
-    let mut vars: Vec<Var> = pick_split_atoms(pool, t, k)
-        .into_iter()
-        .filter_map(|a| fam.enc.bool_vars.get(&a).copied())
-        .collect();
-    if vars.len() < k {
-        let mut orders: Vec<Var> = deltas
-            .iter()
-            .flat_map(|d| fam.delta_orders[d].iter())
-            .filter_map(|p| fam.enc.order_vars.get(p).copied())
-            .collect();
-        orders.sort_unstable();
-        orders.dedup();
-        for v in orders {
-            if vars.len() >= k {
-                break;
-            }
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-    }
-    vars
+    (result, core)
 }
 
 /// Like [`check_all_recorded`], but queries carry a *group key*
 /// (`groups[i]`, e.g. the candidate's source label): maximal contiguous
 /// runs of equal keys form query families, solved per
-/// `opts.strategy`. Families are formed in candidate order, solved
-/// independently (possibly in parallel), and committed in family
-/// order; `cache` is read as a frozen snapshot during the batch and
-/// the families' additions are merged back in family order afterwards
-/// — so outcomes are byte-identical for every `num_threads`.
+/// `opts.strategy`. Families are formed in candidate order and
+/// processed in epochs of [`EPOCH_FAMILIES`] consecutive families.
+/// Within an epoch, families are solved independently (in parallel
+/// with `num_threads > 1`) against a frozen snapshot of `cache`; at the
+/// epoch barrier their outcomes are committed and their cache additions
+/// merged back in family order, so later epochs reuse earlier epochs'
+/// cores and verdicts. Outcomes are byte-identical for every
+/// `num_threads`.
 pub fn check_all_grouped(
     pool: &TermPool,
     queries: &[TermId],
@@ -1320,8 +990,6 @@ pub fn check_all_grouped(
             outcomes: check_all_recorded(pool, queries, opts, stats),
             families: 0,
             clauses_retained: 0,
-            epochs: 0,
-            worker_loads: Vec::new(),
         };
     }
     let mut fams: Vec<(usize, usize)> = Vec::new();
@@ -1332,189 +1000,23 @@ pub fn check_all_grouped(
             start = i;
         }
     }
-    match opts.dispatch {
-        Dispatch::Static => run_static(pool, queries, &fams, opts, stats, cache),
-        Dispatch::WorkSteal => run_worksteal(pool, queries, groups, &fams, opts, stats, cache),
-    }
-}
-
-/// The fixed-batch dispatcher: families split into `num_threads`
-/// contiguous chunks, one sweep per worker, a single frozen snapshot
-/// and one merge barrier for the whole batch. Kept as the ablation
-/// baseline the work-stealing dispatcher is benchmarked against.
-fn run_static(
-    pool: &TermPool,
-    queries: &[TermId],
-    fams: &[(usize, usize)],
-    opts: &SolverOptions,
-    stats: &SolverStats,
-    cache: &mut QueryCache,
-) -> GroupedOutcome {
-    let n = fams.len();
-    let workers = opts.num_threads.clamp(1, n.max(1));
-    let mut worker_loads = vec![WorkerLoad::default(); workers];
-    let outputs: Vec<FamilyOutput> = {
-        let snapshot: &QueryCache = cache;
-        let run =
-            |&(s, e): &(usize, usize)| solve_family(pool, &queries[s..e], opts, stats, snapshot, false);
-        if workers <= 1 || n <= 1 {
-            worker_loads[0].families = n as u64;
-            fams.iter().map(run).collect()
-        } else {
-            let slots: Vec<std::sync::Mutex<Option<FamilyOutput>>> =
-                fams.iter().map(|_| std::sync::Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for (w, load) in worker_loads.iter_mut().enumerate() {
-                    let chunk = (w * n / workers)..((w + 1) * n / workers);
-                    load.families = chunk.len() as u64;
-                    let (slots, run) = (&slots, &run);
-                    scope.spawn(move || {
-                        for i in chunk {
-                            *slots[i].lock().expect("no poisoning: workers do not panic") =
-                                Some(run(&fams[i]));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|m| m.into_inner().expect("scope joined").expect("all chunks swept"))
-                .collect()
-        }
-    };
     let mut outcomes = Vec::with_capacity(queries.len());
     let mut clauses_retained = 0;
-    for out in outputs {
-        outcomes.extend(out.outcomes);
-        clauses_retained += out.clauses_retained;
-        cache.merge(out.additions);
-    }
-    GroupedOutcome {
-        outcomes,
-        families: n as u64,
-        clauses_retained,
-        epochs: 1,
-        worker_loads,
-    }
-}
-
-/// The sharded work-stealing dispatcher (the default). Families shard
-/// by group key (`key % shards`); each worker drains its home shard
-/// (`worker % shards`) and then steals whole families from the other
-/// shards in a deterministic scan order — whole families, so the
-/// persistent solver's shared-prefix reuse survives the steal.
-/// Families are processed in *epochs* (contiguous runs of
-/// `shards × EPOCH_FAMILIES_PER_SHARD` families in family order): the
-/// cache snapshot is frozen per epoch and each epoch's additions merge
-/// back in family order at the epoch barrier, so later epochs reuse
-/// earlier epochs' cores and verdicts. Epoch boundaries depend only on
-/// the family list and the shard count — never on the worker count —
-/// which keeps outcomes byte-identical for every `num_threads`.
-fn run_worksteal(
-    pool: &TermPool,
-    queries: &[TermId],
-    groups: &[u64],
-    fams: &[(usize, usize)],
-    opts: &SolverOptions,
-    stats: &SolverStats,
-    cache: &mut QueryCache,
-) -> GroupedOutcome {
-    let shards = if opts.shards > 0 {
-        opts.shards
-    } else {
-        DEFAULT_SHARDS
-    };
-    let epoch_len = (shards * EPOCH_FAMILIES_PER_SHARD).max(1);
-    let n = fams.len();
-    let workers = opts.num_threads.max(1);
-    let mut worker_loads = vec![WorkerLoad::default(); workers];
-    let mut outcomes = Vec::with_capacity(queries.len());
-    let mut clauses_retained = 0u64;
-    let mut epochs = 0u64;
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo + epoch_len).min(n);
-        epochs += 1;
-        let epoch_outputs: Vec<FamilyOutput> = {
-            let snapshot: &QueryCache = cache;
-            let run = |&(s, e): &(usize, usize)| {
-                solve_family(pool, &queries[s..e], opts, stats, snapshot, true)
-            };
-            if workers <= 1 || hi - lo <= 1 {
-                worker_loads[0].families += (hi - lo) as u64;
-                fams[lo..hi].iter().map(run).collect()
-            } else {
-                let mut shard_q: Vec<Vec<usize>> = vec![Vec::new(); shards];
-                for (i, f) in fams.iter().enumerate().take(hi).skip(lo) {
-                    let key = groups[f.0];
-                    shard_q[(key % shards as u64) as usize].push(i);
-                }
-                let cursors: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
-                let slots: Vec<std::sync::Mutex<Option<FamilyOutput>>> =
-                    (lo..hi).map(|_| std::sync::Mutex::new(None)).collect();
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let (shard_q, cursors, slots, run) =
-                                (&shard_q, &cursors, &slots, &run);
-                            scope.spawn(move || {
-                                let mut load = WorkerLoad::default();
-                                let home = w % shards;
-                                loop {
-                                    let mut claimed = None;
-                                    for off in 0..shards {
-                                        let sh = (home + off) % shards;
-                                        let c =
-                                            cursors[sh].fetch_add(1, Ordering::Relaxed) as usize;
-                                        if c < shard_q[sh].len() {
-                                            claimed = Some((sh, shard_q[sh][c]));
-                                            break;
-                                        }
-                                    }
-                                    let Some((sh, fi)) = claimed else { break };
-                                    load.families += 1;
-                                    load.stolen += u64::from(sh != home);
-                                    let out = run(&fams[fi]);
-                                    *slots[fi - lo]
-                                        .lock()
-                                        .expect("no poisoning: workers do not panic") = Some(out);
-                                }
-                                load
-                            })
-                        })
-                        .collect();
-                    for (w, h) in handles.into_iter().enumerate() {
-                        let l = h.join().expect("worker threads do not panic");
-                        worker_loads[w].families += l.families;
-                        worker_loads[w].stolen += l.stolen;
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|m| {
-                        m.into_inner()
-                            .expect("scope joined")
-                            .expect("all families claimed")
-                    })
-                    .collect()
-            }
-        };
-        // Epoch barrier: commit outcomes and merge cache additions in
-        // family order, so the next epoch's snapshot — identical for
-        // every worker count — includes everything learned so far.
-        for out in epoch_outputs {
+    for epoch in fams.chunks(EPOCH_FAMILIES) {
+        let snapshot: &QueryCache = cache;
+        let outputs = par_map(epoch, opts.num_threads, |&(s, e)| {
+            solve_family(pool, &queries[s..e], opts, stats, snapshot)
+        });
+        for out in outputs {
             outcomes.extend(out.outcomes);
             clauses_retained += out.clauses_retained;
             cache.merge(out.additions);
         }
-        lo = hi;
     }
     GroupedOutcome {
         outcomes,
-        families: n as u64,
+        families: fams.len() as u64,
         clauses_retained,
-        epochs,
-        worker_loads,
     }
 }
 
@@ -1810,8 +1312,7 @@ mod tests {
         assert_eq!(mk(1), mk(4));
     }
 
-    /// Query set with enough families to span several work-stealing
-    /// epochs, mixing sat members, an unsat order cycle per third
+    /// Query set with enough families to span several cache epochs, mixing sat members, an unsat order cycle per third
     /// family, and duplicate members for the memo.
     fn epoch_scale_queries(p: &mut TermPool) -> (Vec<TermId>, Vec<u64>) {
         let mut queries = Vec::new();
@@ -1835,53 +1336,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatchers_and_shard_counts_agree_on_verdicts() {
-        let mut p = TermPool::new();
-        let (queries, groups) = epoch_scale_queries(&mut p);
-        let mk = |dispatch: Dispatch, shards: usize, threads: usize| {
-            let stats = SolverStats::default();
-            let opts = SolverOptions {
-                num_threads: threads,
-                strategy: SolverStrategy::Incremental,
-                dispatch,
-                shards,
-                ..SolverOptions::default()
-            };
-            let mut cache = QueryCache::new();
-            let out = check_all_grouped(&p, &queries, &groups, &opts, &stats, &mut cache);
-            assert_eq!(out.families, 40);
-            (
-                out.outcomes
-                    .iter()
-                    .map(|o| o.result)
-                    .collect::<Vec<SmtResult>>(),
-                out.epochs,
-            )
-        };
-        let (base_verdicts, base_epochs) = mk(Dispatch::WorkSteal, 0, 1);
-        // 40 families at 8 shards × 2 families/shard = 3 epochs.
-        assert_eq!(base_epochs, 3);
-        for (dispatch, shards, threads) in [
-            (Dispatch::WorkSteal, 0, 4),
-            (Dispatch::WorkSteal, 2, 1),
-            (Dispatch::WorkSteal, 2, 4),
-            (Dispatch::WorkSteal, 16, 3),
-            (Dispatch::Static, 0, 1),
-            (Dispatch::Static, 0, 4),
-        ] {
-            let (verdicts, epochs) = mk(dispatch, shards, threads);
-            assert_eq!(
-                verdicts, base_verdicts,
-                "verdicts differ at dispatch={dispatch:?} shards={shards} threads={threads}"
-            );
-            if dispatch == Dispatch::Static {
-                assert_eq!(epochs, 1, "static batching has one barrier");
-            }
-        }
-    }
-
-    #[test]
-    fn worksteal_outcomes_byte_identical_across_thread_counts() {
+    fn epoch_outcomes_byte_identical_across_thread_counts() {
         let mut p = TermPool::new();
         let (queries, groups) = epoch_scale_queries(&mut p);
         let mk = |threads: usize| {
@@ -1889,7 +1344,6 @@ mod tests {
             let opts = SolverOptions {
                 num_threads: threads,
                 strategy: SolverStrategy::Incremental,
-                dispatch: Dispatch::WorkSteal,
                 ..SolverOptions::default()
             };
             let mut cache = QueryCache::new();
@@ -1903,7 +1357,6 @@ mod tests {
                         o.memo_hit,
                         o.core_subsumed,
                         o.incremental,
-                        o.cubed,
                     )
                 })
                 .collect::<Vec<_>>()
@@ -1912,99 +1365,5 @@ mod tests {
         assert_eq!(one, mk(2));
         assert_eq!(one, mk(4));
         assert_eq!(one, mk(7));
-    }
-
-    /// Pigeonhole 3→2 as a term: propositionally unsat and needing
-    /// several CDCL conflicts, so a one-conflict budget must escalate.
-    fn php32(p: &mut TermPool) -> TermId {
-        let mut clauses = Vec::new();
-        for i in 0..3u32 {
-            let a = p.bool_atom(i * 2);
-            let b = p.bool_atom(i * 2 + 1);
-            clauses.push(p.or2(a, b));
-        }
-        for j in 0..2u32 {
-            for i1 in 0..3u32 {
-                for i2 in (i1 + 1)..3u32 {
-                    let a = p.bool_atom(i1 * 2 + j);
-                    let na = p.not(a);
-                    let b = p.bool_atom(i2 * 2 + j);
-                    let nb = p.not(b);
-                    clauses.push(p.or2(na, nb));
-                }
-            }
-        }
-        p.and(clauses)
-    }
-
-    #[test]
-    fn cube_escalation_fires_on_hard_member_and_preserves_verdicts() {
-        let mut p = TermPool::new();
-        let hard = php32(&mut p);
-        let o = p.order_lt(1, 2);
-        let easy = p.and2(o, hard); // same family: duplicate-free sibling
-        let queries = [hard, easy];
-        let groups = [3u64, 3];
-        let run = |cube_split: usize, cube_budget: u64| {
-            let stats = SolverStats::default();
-            let opts = SolverOptions {
-                cube_split,
-                cube_budget,
-                strategy: SolverStrategy::Incremental,
-                ..SolverOptions::default()
-            };
-            let mut cache = QueryCache::new();
-            let out = check_all_grouped(&p, &queries, &groups, &opts, &stats, &mut cache);
-            (
-                out.outcomes.iter().map(|o| o.result).collect::<Vec<_>>(),
-                out.outcomes.iter().map(|o| o.cubed).collect::<Vec<_>>(),
-                stats.cube_escalated.load(Ordering::Relaxed),
-            )
-        };
-        let (plain_verdicts, plain_cubed, plain_esc) = run(0, 1);
-        assert!(plain_cubed.iter().all(|&c| !c));
-        assert_eq!(plain_esc, 0);
-        let (cube_verdicts, cube_cubed, cube_esc) = run(3, 1);
-        assert_eq!(cube_verdicts, plain_verdicts, "escalation is a pure optimization");
-        assert!(
-            cube_cubed.iter().any(|&c| c),
-            "a one-conflict budget must escalate the pigeonhole member"
-        );
-        assert!(cube_esc > 0);
-        // A generous budget never escalates.
-        let (gen_verdicts, gen_cubed, gen_esc) = run(3, 1_000_000);
-        assert_eq!(gen_verdicts, plain_verdicts);
-        assert!(gen_cubed.iter().all(|&c| !c));
-        assert_eq!(gen_esc, 0);
-    }
-
-    #[test]
-    fn cube_and_conquer_agrees_with_plain_solving() {
-        let mut p = TermPool::new();
-        // A formula with enough booleans to split on.
-        let atoms: Vec<TermId> = (0..6).map(|i| p.bool_atom(i)).collect();
-        let mut clauses = Vec::new();
-        for i in 0..6 {
-            let x = atoms[i];
-            let y = atoms[(i + 1) % 6];
-            let ny = p.not(y);
-            clauses.push(p.or2(x, ny));
-        }
-        let o = p.order_lt(0, 1);
-        clauses.push(o);
-        let f = p.and(clauses);
-        let plain_opts = SolverOptions::default();
-        let cube_opts = SolverOptions {
-            num_threads: 4,
-            cube_split: 3,
-            prefilter: false,
-            ..SolverOptions::default()
-        };
-        let s1 = SolverStats::default();
-        let s2 = SolverStats::default();
-        assert_eq!(
-            check(&p, f, &plain_opts, &s1),
-            check(&p, f, &cube_opts, &s2)
-        );
     }
 }

@@ -151,19 +151,4 @@ proptest! {
         let t2 = pool.and2(t, tt);
         prop_assert_eq!(t, t2);
     }
-
-    #[test]
-    fn cube_and_conquer_matches_plain(shape in shape_strategy()) {
-        let mut pool = TermPool::new();
-        let t = build(&mut pool, &shape);
-        let stats = SolverStats::default();
-        let plain = check(&pool, t, &SolverOptions::default(), &stats);
-        let cube = check(
-            &pool,
-            t,
-            &SolverOptions { num_threads: 2, cube_split: 2, ..SolverOptions::default() },
-            &stats,
-        );
-        prop_assert_eq!(plain, cube);
-    }
 }

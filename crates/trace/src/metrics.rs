@@ -320,15 +320,11 @@ impl MetricsRegistry {
 }
 
 /// Whether a metric family is **volatile** — nondeterministic across
-/// runs by nature (wall-clock times, OS memory accounting, work-steal
-/// scheduling) and therefore *dropped wholesale* by the normalization
-/// helpers, exactly like the SARIF manifest quarantines `timings`.
-/// Dropping (rather than zeroing) matters because some volatile
-/// families are conditionally emitted — `canary_dispatch_*` exists
-/// only when a work-stealing dispatch actually ran — so even their
-/// `# TYPE`/`# HELP` headers differ across knobs.
+/// runs by nature (wall-clock times, OS memory accounting) and
+/// therefore *dropped wholesale* by the normalization helpers, exactly
+/// like the SARIF manifest quarantines `timings`.
 pub fn family_is_volatile(name: &str) -> bool {
-    name.ends_with("_seconds") || name.contains("_rss_") || name.starts_with("canary_dispatch_")
+    name.ends_with("_seconds") || name.contains("_rss_")
 }
 
 /// Whether a metric family is **strategy-sensitive** — deterministic
@@ -377,9 +373,8 @@ fn comment_family(line: &str) -> Option<&str> {
 }
 
 /// Normalizes an OpenMetrics document for determinism comparisons:
-/// *drops* volatile families entirely (headers and samples — some,
-/// like `canary_dispatch_*`, are conditionally emitted, so even their
-/// presence is knob-dependent) and zeroes the sample values of
+/// *drops* volatile families entirely (headers and samples) and zeroes
+/// the sample values of
 /// configuration-echo families (and, when `cross_strategy` is set, the
 /// strategy-sensitive solver-work families, whose presence is
 /// unconditional). Everything left must be byte-identical across
@@ -543,29 +538,20 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.set_gauge("canary_phase_wall_seconds", "wall", &[("phase", "alg1")], 1.25);
         reg.set_gauge("canary_phase_peak_rss_bytes", "rss", &[("phase", "alg1")], 4096.0);
-        reg.set_gauge(
-            "canary_dispatch_worker_families",
-            "loads",
-            &[("worker", "0")],
-            3.0,
-        );
         reg.set_gauge("canary_vfg_nodes", "nodes", &[], 11.0);
         reg.add_counter("canary_solver_decisions", "cdcl", &[], 9.0);
         let text = reg.to_openmetrics();
         let norm = normalize_openmetrics(&text, false);
-        // Conditionally-emitted volatile families (dispatch loads)
-        // would leave differing # TYPE/# HELP headers if merely
-        // zeroed, so the whole block — headers included — must go.
+        // The whole block — # TYPE/# HELP headers included — must go.
         assert!(!norm.contains("canary_phase_wall_seconds"), "{norm}");
         assert!(!norm.contains("canary_phase_peak_rss_bytes"), "{norm}");
-        assert!(!norm.contains("canary_dispatch_worker_families"), "{norm}");
         assert!(norm.contains("canary_vfg_nodes 11\n"));
         assert!(norm.contains("canary_solver_decisions_total 9\n"));
         let cross = normalize_openmetrics(&text, true);
         assert!(cross.contains("canary_solver_decisions_total 0\n"));
         assert!(cross.contains("canary_vfg_nodes 11\n"));
-        // A registry without the conditional family normalizes to the
-        // same text as one with it.
+        // A registry without the volatile families normalizes to the
+        // same text as one with them.
         let mut bare = MetricsRegistry::new();
         bare.set_gauge("canary_vfg_nodes", "nodes", &[], 11.0);
         bare.add_counter("canary_solver_decisions", "cdcl", &[], 9.0);
@@ -582,20 +568,11 @@ mod tests {
             &SECONDS_BUCKETS,
             0.002,
         );
-        reg.set_gauge(
-            "canary_dispatch_worker_stolen",
-            "steals",
-            &[("worker", "1")],
-            2.0,
-        );
         reg.set_gauge("canary_vfg_nodes", "nodes", &[], 5.0);
         let mut doc = reg.to_json();
         normalize_registry_json(&mut doc, false);
         let fams = doc["families"].as_array().unwrap();
-        assert!(!fams
-            .iter()
-            .any(|f| f["name"] == "canary_smt_query_seconds"
-                || f["name"] == "canary_dispatch_worker_stolen"));
+        assert!(!fams.iter().any(|f| f["name"] == "canary_smt_query_seconds"));
         let gauge = fams.iter().find(|f| f["name"] == "canary_vfg_nodes").unwrap();
         assert_eq!(gauge["samples"][0]["value"].as_f64(), Some(5.0));
     }
@@ -611,8 +588,6 @@ mod tests {
     fn classification_rules() {
         assert!(family_is_volatile("canary_phase_wall_seconds"));
         assert!(family_is_volatile("canary_phase_peak_rss_bytes"));
-        assert!(family_is_volatile("canary_dispatch_worker_families"));
-        assert!(family_is_volatile("canary_dispatch_worker_stolen"));
         assert!(!family_is_volatile("canary_vfg_bytes"));
         assert!(!family_is_volatile("canary_audit_candidates"));
         assert!(family_is_strategy_sensitive("canary_solver_memo_hits"));

@@ -82,8 +82,7 @@ pub struct WorkloadSpec {
     /// nested lock regions and handshake order structure, driving the
     /// CDCL(T) theory-lemma loop instead of folding at construction.
     /// Hard patterns are emitted first, so hard families cluster
-    /// contiguously in family order — the adversarial layout for
-    /// contiguous static batching. 0.0 disables hardening.
+    /// contiguously in family order. 0.0 disables hardening.
     pub hard_family_ratio: f64,
     /// Emit the size filler (helper library, `pick` conflation, worker
     /// threads, alias webs, statement filler). Disable for *lean*

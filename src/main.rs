@@ -27,20 +27,7 @@
 //!   --solver-threads N    parallel SMT query workers (default 1)
 //!   --solver-strategy S   fresh (one solver per query) or incremental
 //!                         (query-family solving with UNSAT-core
-//!                         subsumption and memoization; the default,
-//!                         also settable via CANARY_SOLVER_STRATEGY)
-//!   --dispatch D          static (contiguous per-worker family chunks)
-//!                         or worksteal (sharded work-stealing family
-//!                         scheduler; the default, also settable via
-//!                         CANARY_DISPATCH) — output is byte-identical
-//!                         either way
-//!   --shards N            query-family shards for the work-stealing
-//!                         dispatcher (default 0 = auto)
-//!   --cube-split N        escalate family members that blow the
-//!                         conflict budget to cube-and-conquer over N
-//!                         branch atoms (default 0 = off)
-//!   --memory-budget-mb N  spill cold function summaries to an on-disk
-//!                         store, keeping at most N MiB resident
+//!                         subsumption and memoization; the default)
 //!   --unroll K            loop unrolling depth (default 2)
 //!   --context-depth N     clone-based context sensitivity depth
 //!                         (default 0 = context-insensitive)
@@ -112,8 +99,7 @@ fn usage() -> ! {
          [--json-out FILE] [--sarif-out FILE] [--baseline FILE] \
          [--no-mhp] [--no-sync] [--no-prefilter] \
          [--memory-model sc|tso|pso] [--threads N] [--solver-threads N] \
-         [--solver-strategy fresh|incremental] [--dispatch static|worksteal] \
-         [--shards N] [--cube-split N] [--memory-budget-mb N] [--unroll K] \
+         [--solver-strategy fresh|incremental] [--unroll K] \
          [--context-depth N] [--max-paths N] [--max-path-len N] \
          [--tool canary|saber|fsam] [--explain] [--verify-witnesses] \
          [--trace-out FILE] [--metrics-out FILE] [--audit-out FILE] \
@@ -281,45 +267,6 @@ fn parse_args(args: &[String]) -> Cli {
                     strategy,
                     ..config.detect.solver
                 };
-            }
-            "--dispatch" => {
-                i += 1;
-                let Some(d) = args.get(i) else { usage() };
-                let Some(dispatch) = canary_smt::Dispatch::parse(d) else {
-                    eprintln!("unknown dispatch `{d}` (static|worksteal)");
-                    usage()
-                };
-                config.detect.solver = SolverOptions {
-                    dispatch,
-                    ..config.detect.solver
-                };
-            }
-            "--shards" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                config.detect.solver = SolverOptions {
-                    shards: n,
-                    ..config.detect.solver
-                };
-            }
-            "--cube-split" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                config.detect.solver = SolverOptions {
-                    cube_split: n,
-                    ..config.detect.solver
-                };
-            }
-            "--memory-budget-mb" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                config.memory_budget_mb = Some(n);
             }
             "--tool" => {
                 i += 1;
@@ -834,31 +781,15 @@ fn run_manifest(
             ("checkers".into(), checkers.join(",")),
             ("context_depth".into(), config.context_depth.to_string()),
             (
-                "cube_split".into(),
-                config.detect.solver.cube_split.to_string(),
-            ),
-            (
-                "dispatch".into(),
-                config.detect.solver.dispatch.as_str().to_string(),
-            ),
-            (
                 "inter_thread_only".into(),
                 config.detect.inter_thread_only.to_string(),
             ),
             ("loop_unroll".into(), config.parse.loop_unroll.to_string()),
-            (
-                "memory_budget_mb".into(),
-                config
-                    .memory_budget_mb
-                    .map(|mb| mb.to_string())
-                    .unwrap_or_else(|| "none".into()),
-            ),
             ("memory_model".into(), memory_model.to_string()),
             (
                 "prefilter".into(),
                 config.detect.solver.prefilter.to_string(),
             ),
-            ("shards".into(), config.detect.solver.shards.to_string()),
             (
                 "solver_threads".into(),
                 config.detect.solver.num_threads.to_string(),
@@ -967,7 +898,7 @@ fn json_document(
             .collect();
         let audit = m.audit.reconcile().unwrap_or_default();
         let doc = serde_json::json!({
-            "schema_version": 3,
+            "schema_version": 4,
             "canary_version": env!("CARGO_PKG_VERSION"),
             "rustc_version": env!("CANARY_RUSTC_VERSION"),
             "file": cli.file,
@@ -993,11 +924,6 @@ fn json_document(
                 "time_detect_ms": m.t_detect.as_secs_f64() * 1e3,
                 "solver": {
                     "strategy": strategy,
-                    "dispatch": cli.config.detect.solver.dispatch.as_str(),
-                    "shards": cli.config.detect.solver.shards,
-                    "cube_split": cli.config.detect.solver.cube_split,
-                    "cube_escalated": m.detect.cube_escalated,
-                    "shard_epochs": m.detect.epochs,
                     "prefiltered": m.detect.prefiltered,
                     "decisions": m.detect.decisions,
                     "conflicts": m.detect.conflicts,
@@ -1015,14 +941,6 @@ fn json_document(
                     } else {
                         0.0
                     },
-                },
-                "spill": {
-                    "budget_bytes": m.spill.budget_bytes,
-                    "bytes_written": m.spill.bytes_written,
-                    "entries": m.spill.entries,
-                    "evictions": m.spill.evictions,
-                    "reloads": m.spill.reloads,
-                    "resident_bytes": m.spill.resident_bytes,
                 },
                 "hot_queries": hot_queries,
                 "hot_functions": hot_functions,
@@ -1140,29 +1058,9 @@ fn print_text_output(
                 reuse_rate,
                 m.detect.clauses_retained,
             );
-            println!(
-                "dispatch [{}]: {} shard epoch(s) | {} cube-escalated \
-                 (cube-split {})",
-                cli.config.detect.solver.dispatch.as_str(),
-                m.detect.epochs,
-                m.detect.cube_escalated,
-                cli.config.detect.solver.cube_split,
-            );
             match m.audit.reconcile() {
                 Ok(summary) => println!("{}", summary.render()),
                 Err(e) => println!("audit: RECONCILIATION FAILED: {e}"),
-            }
-            if m.spill.budget_bytes > 0 || m.spill.entries > 0 {
-                println!(
-                    "spill: {} entr(ies), {} bytes written | {} evictions, \
-                     {} reloads | {} resident bytes (budget {} bytes)",
-                    m.spill.entries,
-                    m.spill.bytes_written,
-                    m.spill.evictions,
-                    m.spill.reloads,
-                    m.spill.resident_bytes,
-                    m.spill.budget_bytes,
-                );
             }
             let hot = m.hottest_queries(TOP_K);
             if !hot.is_empty() {

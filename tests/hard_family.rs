@@ -1,8 +1,7 @@
 //! Hard-family generator knobs (`family_fanout`, `hard_family_ratio`):
 //! hardened contradiction patterns stay infeasible — zero findings —
 //! but their refutation lives in the wait/notify order theory, beyond
-//! the construction-time prefilter, so they cost real CDCL(T) work and
-//! drive the §5.2 cube escalation under a tight conflict budget.
+//! the construction-time prefilter, so they cost real CDCL(T) work.
 
 use canary::{AnalysisOutcome, Canary, CanaryConfig};
 use canary_detect::{BugKind, DetectOptions};
@@ -35,13 +34,16 @@ fn spec(ratio: f64, fanout: usize) -> WorkloadSpec {
     }
 }
 
-fn analyze(ratio: f64, fanout: usize, solver: SolverOptions) -> AnalysisOutcome {
+fn analyze(ratio: f64, fanout: usize) -> AnalysisOutcome {
     let w = generate(&spec(ratio, fanout));
     Canary::with_config(CanaryConfig {
         checkers: vec![BugKind::UseAfterFree],
         detect: DetectOptions {
             inter_thread_only: false,
-            solver,
+            solver: SolverOptions {
+                strategy: SolverStrategy::Incremental,
+                ..SolverOptions::default()
+            },
             ..DetectOptions::default()
         },
         ..CanaryConfig::default()
@@ -49,17 +51,10 @@ fn analyze(ratio: f64, fanout: usize, solver: SolverOptions) -> AnalysisOutcome 
     .analyze(&w.prog)
 }
 
-fn incremental() -> SolverOptions {
-    SolverOptions {
-        strategy: SolverStrategy::Incremental,
-        ..SolverOptions::default()
-    }
-}
-
 #[test]
 fn hard_families_are_refuted_but_cost_real_solver_work() {
-    let easy = analyze(0.0, 4, incremental());
-    let hard = analyze(1.0, 4, incremental());
+    let easy = analyze(0.0, 4);
+    let hard = analyze(1.0, 4);
     assert_eq!(easy.reports.len(), 0, "legacy contradictions refuted");
     assert_eq!(hard.reports.len(), 0, "hard families stay infeasible");
     let work = |o: &AnalysisOutcome| {
@@ -82,8 +77,8 @@ fn hard_families_are_refuted_but_cost_real_solver_work() {
 
 #[test]
 fn hard_families_scale_work_with_fanout() {
-    let narrow = analyze(1.0, 2, incremental());
-    let wide = analyze(1.0, 8, incremental());
+    let narrow = analyze(1.0, 2);
+    let wide = analyze(1.0, 8);
     assert_eq!(narrow.reports.len(), 0);
     assert_eq!(wide.reports.len(), 0);
     assert!(
@@ -91,25 +86,5 @@ fn hard_families_scale_work_with_fanout() {
         "fan-out widens the query family: {} vs {}",
         wide.metrics.detect.queries,
         narrow.metrics.detect.queries,
-    );
-}
-
-#[test]
-fn cube_escalation_fires_on_hard_families_without_changing_findings() {
-    let flat = analyze(1.0, 6, incremental());
-    let cubed = analyze(
-        1.0,
-        6,
-        SolverOptions {
-            cube_split: 2,
-            cube_budget: 1,
-            ..incremental()
-        },
-    );
-    assert_eq!(flat.reports.len(), cubed.reports.len());
-    assert_eq!(flat.metrics.detect.cube_escalated, 0);
-    assert!(
-        cubed.metrics.detect.cube_escalated > 0,
-        "a 1-conflict budget must escalate some hard member"
     );
 }

@@ -4,8 +4,10 @@
 //!
 //! Two layers:
 //!
-//! 1. a property test over random `canary-workloads` programs comparing
-//!    the full outcome at `threads = 1` vs `threads = 4`;
+//! 1. a property test over random `canary-workloads` programs, with
+//!    hard query families, comparing the full outcome — including the
+//!    whole deterministic solver-counter block (`DetectStats`) — at
+//!    `threads = 1` vs `threads = 4`;
 //! 2. a regression sweep over every concrete program embedded in
 //!    `tests/paper_examples.rs` and `examples/*.rs` (extracted from
 //!    their raw-string literals), each run three times at `threads = 8`
@@ -61,6 +63,7 @@ fn canonical_json(outcome: &AnalysisOutcome) -> String {
             "smt_queries": m.detect.queries,
             "dataflow_tasks": m.dataflow_phase.tasks,
             "interference_tasks": m.interference_phase.tasks,
+            "detect": format!("{:?}", m.detect),
         },
         "refuted": outcome.refuted.iter().map(|r| {
             serde_json::json!({
@@ -83,8 +86,9 @@ fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
         0usize..3,
         0usize..2,
         0usize..3,
+        0usize..6,
     )
-        .prop_map(|(seed, stmts, threads, cells, bugs, benign, contra)| WorkloadSpec {
+        .prop_map(|(seed, stmts, threads, cells, bugs, benign, contra, fanout)| WorkloadSpec {
             name: format!("par-eq-{seed}"),
             seed,
             target_stmts: stmts,
@@ -103,8 +107,8 @@ fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
             sb_patterns: 0,
             mp_patterns: 0,
             lb_patterns: 0,
-            family_fanout: 0,
-            hard_family_ratio: 0.0,
+            family_fanout: fanout,
+            hard_family_ratio: 0.75,
             filler: true,
         })
 }
