@@ -386,7 +386,7 @@ impl InterferenceAnalysis<'_> {
         // Pted(o) for every escaped object: nodes reachable from o with
         // aggregated guards (Alg. 2 lines 19–23). Kept in escape order —
         // the iteration order downstream decides term creation order.
-        let obj_node = first_obj_nodes(&df.vfg, self.prog.objs.len());
+        let obj_node = df.vfg.first_obj_nodes(self.prog.objs.len());
         let obj_nodes: Vec<(ObjId, Option<NodeId>)> = self
             .escaped
             .iter()
@@ -808,18 +808,6 @@ const MAX_COMPETING_STORES: usize = 24;
 /// The strict-order atom `O_a < O_b` over statement labels.
 fn order_atom<B: TermBuild>(pool: &mut B, a: Label, b: Label) -> TermId {
     pool.order_lt(a.0, b.0)
-}
-
-/// The lowest-id node of each object, if the dataflow pass materialized
-/// one (an object allocated at several labels has several nodes).
-fn first_obj_nodes(vfg: &Vfg, n_objs: usize) -> Vec<Option<NodeId>> {
-    let mut first = vec![None; n_objs];
-    for n in vfg.node_ids() {
-        if let NodeKind::Object { obj, .. } = vfg.kind(n) {
-            first[obj.index()].get_or_insert(n);
-        }
-    }
-    first
 }
 
 #[cfg(test)]
