@@ -1,25 +1,36 @@
 #!/usr/bin/env sh
-# CI gate: build, test, lint, then re-run the whole test suite with the
+# CI gate: build, run the whole test suite serially and again with the
 # parallel front-end enabled (CANARY_TEST_THREADS overrides the default
 # worker count) — the determinism guarantee means both passes must see
-# byte-identical analysis output.
+# byte-identical analysis output — then lint and smoke-test the CLI.
 set -eux
 
 cargo build --release --offline
+# The two workspace runs execute every suite of every crate, serially
+# and with the parallel front-end. Vendored proptest seeds each case
+# from the test name, so running one suite again would repeat the same
+# cases. Among the suites they cover:
+# - oracle_differential: witness replay over the fixed 16-seed corpus;
+# - memory_model_differential: the store-buffer oracle certifies every
+#   finding on the litmus corpus under sc, tso and pso; memory_models
+#   holds the detector-level model tests;
+# - trace: Chrome traces stay byte-deterministic across worker counts
+#   once timing is normalized;
+# - solver_strategy_equivalence: the incremental query-family back-end
+#   agrees with the fresh baseline on reports, verdicts and cores;
+# - report_determinism: every report artifact (SARIF, provenance DAG,
+#   diff) is the same across worker counts and solver strategies, plus
+#   dedup and baseline classification regressions;
+# - checker_matrix, canary-smt's lock_order_brute and
+#   lock_sharpen_equivalence: the double-lock and conflict-lock
+#   buggy/safe pairs and seeded corpora, the lock-order brute-force
+#   differential and the lock-sharpened-MHP soundness envelope;
+# - audit_reconciliation: the suppression-accounting suite
+#   (reconciliation invariant, knob-invariant JSONL export, per-layer
+#   certificates).
 cargo test -q --workspace --offline
-cargo clippy --workspace --offline -- -D warnings
-# Differential oracle suite over its fixed 16-seed corpus, serially and
-# with the parallel front-end, so witness replay sees both configurations.
-cargo test -q --offline --test oracle_differential
-CANARY_TEST_THREADS=2 cargo test -q --offline --test oracle_differential
 CANARY_TEST_THREADS=2 cargo test -q --workspace --offline
-# Memory-model differential gates: the store-buffer oracle must
-# certify every finding on the litmus corpus under all three models
-# (the suite sweeps sc/tso/pso internally), serially and with the
-# parallel front-end; the detector-level model tests ride along.
-cargo test -q --offline --test memory_model_differential
-CANARY_TEST_THREADS=2 cargo test -q --offline --test memory_model_differential
-cargo test -q --offline --test memory_models
+cargo clippy --workspace --offline -- -D warnings
 # Store-buffering litmus smoke: the Dekker-style double free replays
 # on the store-buffer machine under tso/pso but has no SC witness, so
 # --verify-witnesses separates the models at the CLI level.
@@ -33,8 +44,7 @@ for model in tso pso; do
     grep -q 'witness verification: 1/1' "/tmp/canary_sb_$model.out"
 done
 # Trace smoke: the profiler must emit a parseable Chrome trace covering
-# every pipeline phase plus at least one per-SMT-query span, and the trace
-# must stay byte-deterministic across worker counts (timing normalized).
+# every pipeline phase plus at least one per-SMT-query span.
 ./target/release/canary examples/fig2_variant.cir --stats \
     --trace-out /tmp/canary_trace.json || [ $? -eq 1 ]  # exit 1 = bug reported
 # Validate the trace as real JSON when python3 is available; the grep
@@ -48,14 +58,6 @@ fi
 for span in '"callgraph"' '"alg1"' '"alg2"' '"detect"' 'smt.query:'; do
     grep -q "$span" /tmp/canary_trace.json
 done
-cargo test -q --offline --test trace
-CANARY_TEST_THREADS=2 cargo test -q --offline --test trace
-# Solver-strategy equivalence: the incremental query-family back-end
-# must agree with the fresh baseline (reports, verdicts, cores); the
-# suite builds both strategies itself, serially and with the parallel
-# front-end.
-cargo test -q --offline --test solver_strategy_equivalence
-CANARY_TEST_THREADS=2 cargo test -q --offline --test solver_strategy_equivalence
 # Report observability gates: the SARIF export must validate against
 # the (vendored, minimal) 2.1.0 schema. Prefer a real jsonschema
 # validation, fall back to a structural python3 check, then to grep.
@@ -91,20 +93,6 @@ fi
     --baseline /tmp/canary_fig2.sarif > /dev/null
 ./target/release/canary diff /tmp/canary_fig2.sarif /tmp/canary_fig2.sarif \
     | grep -q '0 new, 0 fixed'
-# Determinism of every report artifact across worker counts and solver
-# strategies (SARIF, provenance DAG, diff), plus dedup + baseline
-# classification regressions.
-cargo test -q --offline --test report_determinism
-CANARY_TEST_THREADS=2 cargo test -q --offline --test report_determinism
-# Lock-discipline gates: the checker matrix (double-lock +
-# conflict-lock buggy/safe pairs and seeded corpora), the lock-order
-# brute-force differential, and the lock-sharpened-MHP soundness
-# envelope — serially and with the parallel front-end.
-cargo test -q --offline --test checker_matrix
-CANARY_TEST_THREADS=2 cargo test -q --offline --test checker_matrix
-cargo test -q -p canary-smt --offline --test lock_order_brute
-cargo test -q --offline --test lock_sharpen_equivalence
-CANARY_TEST_THREADS=2 cargo test -q --offline --test lock_sharpen_equivalence
 # Deadlock example smoke: both lock checkers fire (exit 1) and the
 # SARIF export validates like the Fig. 2 document above.
 ./target/release/canary examples/deadlock.cir --format sarif \
@@ -200,11 +188,6 @@ rc=0
     > /tmp/canary_bench_diff.out || rc=$?
 [ "$rc" -eq 1 ]
 grep -q 'REGRESSED' /tmp/canary_bench_diff.out
-# Analysis-audit gates (PR-10): the suppression-accounting suite
-# (reconciliation invariant + knob-invariant JSONL export + per-layer
-# certificates), serially and with the parallel front-end.
-cargo test -q --offline --test audit_reconciliation
-CANARY_TEST_THREADS=2 cargo test -q --offline --test audit_reconciliation
 # The --audit-out export on the three-certificate example must carry
 # one record per line that validates against the vendored mini-schema
 # (same three-tier fallback as the SARIF gate), and --stats must print
