@@ -3,87 +3,189 @@
 //! [`OrderGraph::happens_before`] decides the program order `<P` of
 //! Defn. 2(2): control flow within a thread plus fork/join
 //! synchronization across threads. Because bounded programs have acyclic
-//! CFGs and call graphs, may-reachability coincides with
-//! ordered-whenever-co-executed, which is exactly the relation the
-//! partial-order constraints `Φ_po` of §5.1 need.
+//! CFGs, may-reachability coincides with ordered-whenever-co-executed,
+//! which is exactly the relation the partial-order constraints `Φ_po` of
+//! §5.1 need.
 //!
-//! Queries are answered on demand with a worklist over `(label)` items:
+//! Execution that has passed `l1` moves on in three ways:
 //!
-//! * **intra** — labels after `l` in its function (block-DAG reach);
-//! * **descend** — a call or fork site after `l` orders `l` before every
-//!   statement of every function transitively reachable from the callee;
-//! * **ascend** — on return, execution continues after each call site of
-//!   the current function; for a thread entry, after the thread's join
-//!   site.
-
-use std::collections::{HashMap, HashSet};
-
-use parking_lot::Mutex;
+//! * **intra** — to the labels after `l1` in its function (block-DAG
+//!   reach);
+//! * **descend** — through a call or fork at or after `l1` into every
+//!   function transitively reachable from the callee;
+//! * **ascend** — on return, to the continuation after each call site of
+//!   the current function; for a thread entry, to the thread's join site.
+//!   A call site reached by ascending has already returned, so it never
+//!   descends again.
+//!
+//! Write `Asc(f)` for the sites execution ascends to from `f`: the call
+//! sites of `f`'s callers and the join sites of threads whose entry is
+//! `f`, closed over the functions containing them. `Asc(f)` depends on
+//! `f` alone, so [`OrderGraph::build`] tabulates everything a query
+//! needs. With `l1` in `f1` and `l2` in `f2`, `l1 <P l2` holds exactly
+//! when
+//!
+//! 1. `f1 = f2` and `l2` follows `l1` in the block DAG;
+//! 2. a call or fork at or after `l1` descends into `f2`;
+//! 3. a call or fork after some site of `Asc(f1)` descends into `f2`; or
+//! 4. some site `s` of `Asc(f1)` lies in `f2` and `l2` follows `s`, or
+//!    `s` is a join site and `s = l2`.
+//!
+//! Condition 3 mentions neither label, so it is one bit of a function ×
+//! function table; condition 1 is one bit of the function's block
+//! reachability; conditions 2 and 4 scan the call, fork or join sites of
+//! one function, a few bit tests each. A query takes no lock, hashes
+//! nothing and allocates nothing.
 
 use crate::callgraph::CallGraph;
+use crate::func::Function;
 use crate::ids::{FuncId, Label};
-use crate::inst::Inst;
+use crate::inst::{Inst, Terminator};
 use crate::program::Program;
 
-/// Per-function label-level reachability over the block DAG.
+/// A dense bit matrix stored row by row.
 #[derive(Debug)]
-struct IntraReach {
-    /// Labels of the function in a stable order.
-    labels: Vec<Label>,
-    /// Dense block-level reachability: `block_reach[a]` contains `b` iff
-    /// block `b` is reachable from block `a` in one or more steps.
-    block_reach: Vec<Vec<bool>>,
+struct BitRows {
+    /// 64-bit words per row.
+    words: usize,
+    bits: Vec<u64>,
 }
 
-impl IntraReach {
-    fn compute(prog: &Program, f: FuncId) -> Self {
-        let func = prog.func(f);
-        let n = func.blocks.len();
-        let mut block_reach = vec![vec![false; n]; n];
-        // DFS from each block (functions are small; O(B²) is fine).
-        #[allow(clippy::needless_range_loop)]
-        for start in 0..n {
-            let mut work = vec![start];
-            while let Some(b) = work.pop() {
-                for succ in func.blocks[b].term.successors() {
-                    let s = succ.index();
-                    if !block_reach[start][s] {
-                        block_reach[start][s] = true;
-                        work.push(s);
-                    }
+impl BitRows {
+    fn new(rows: usize, cols: usize) -> Self {
+        let words = cols.div_ceil(64);
+        BitRows {
+            words,
+            bits: vec![0; rows * words],
+        }
+    }
+
+    fn get(&self, r: usize, c: usize) -> bool {
+        self.bits[r * self.words + c / 64] >> (c % 64) & 1 != 0
+    }
+
+    fn set(&mut self, r: usize, c: usize) {
+        self.bits[r * self.words + c / 64] |= 1 << (c % 64);
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.bits[r * self.words..(r + 1) * self.words]
+    }
+
+    /// `row r |= other`.
+    fn or_row(&mut self, r: usize, other: &[u64]) {
+        let w = self.words;
+        for (a, b) in self.bits[r * w..(r + 1) * w].iter_mut().zip(other) {
+            *a |= b;
+        }
+    }
+
+    /// `row dst |= row src`.
+    fn union_rows(&mut self, dst: usize, src: usize) {
+        let w = self.words;
+        if dst == src || w == 0 {
+            return;
+        }
+        let (d, s) = if dst < src {
+            let (lo, hi) = self.bits.split_at_mut(src * w);
+            (&mut lo[dst * w..(dst + 1) * w], &hi[..w])
+        } else {
+            let (lo, hi) = self.bits.split_at_mut(dst * w);
+            (&mut hi[..w], &lo[src * w..(src + 1) * w])
+        };
+        for (a, b) in d.iter_mut().zip(s) {
+            *a |= b;
+        }
+    }
+
+    /// The set columns of row `r`, ascending.
+    fn ones(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(r).iter().enumerate().flat_map(|(i, &w)| {
+            (0..64)
+                .filter(move |b| w >> b & 1 != 0)
+                .map(move |b| i * 64 + b)
+        })
+    }
+}
+
+/// Successor block indices of block `b`, without allocating.
+fn successors(func: &Function, b: usize) -> impl Iterator<Item = usize> + '_ {
+    let (x, y) = match &func.blocks[b].term {
+        Terminator::Goto(t) => (Some(t), None),
+        Terminator::Branch {
+            then_blk, else_blk, ..
+        } => (Some(then_blk), Some(else_blk)),
+        Terminator::Exit => (None, None),
+    };
+    x.into_iter().chain(y).map(|t| t.index())
+}
+
+/// Strict block-level reachability of one function: row `a` holds `b`
+/// iff block `b` is reachable from block `a` in one or more steps.
+/// Filled by unions in reverse topological order of the block DAG.
+fn block_reach(func: &Function) -> BitRows {
+    let n = func.blocks.len();
+    let mut reach = BitRows::new(n, n);
+    // Iterative DFS; a block finishes after all its successors, so
+    // finishing order is a reverse topological order of the DAG.
+    let mut state = vec![0u8; n];
+    for root in 0..n {
+        if state[root] != 0 {
+            continue;
+        }
+        state[root] = 1;
+        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
+            if let Some(s) = successors(func, b).nth(*next) {
+                *next += 1;
+                if state[s] == 0 {
+                    state[s] = 1;
+                    stack.push((s, 0));
                 }
+            } else {
+                for s in successors(func, b) {
+                    reach.set(b, s);
+                    reach.union_rows(b, s);
+                }
+                state[b] = 2;
+                stack.pop();
             }
         }
-        IntraReach {
-            labels: func.labels().collect(),
-            block_reach,
-        }
+    }
+    reach
+}
+
+/// A call, fork or join statement located in its function's block DAG.
+#[derive(Clone, Copy, Debug)]
+struct Site {
+    block: u32,
+    /// Descent sites: the site's index in its block, so a label at
+    /// `(block, p)` is at or before the site iff `p <= pos`. Ascent
+    /// sites: the first index in the block that counts as after the
+    /// site — one past a call site, the join site itself for a join.
+    pos: u32,
+}
+
+/// Sites grouped by function: `sites[start[f]..start[f + 1]]` are `f`'s,
+/// and `rows` holds one row per site.
+#[derive(Debug)]
+struct SiteTable {
+    start: Vec<u32>,
+    sites: Vec<Site>,
+    rows: BitRows,
+}
+
+impl SiteTable {
+    /// A table of `sites` grouped by `start`, with empty rows of
+    /// `cols` bits.
+    fn new(start: Vec<u32>, sites: Vec<Site>, cols: usize) -> Self {
+        let rows = BitRows::new(sites.len(), cols);
+        SiteTable { start, sites, rows }
     }
 
-    /// Whether `l2` strictly follows `l1` on some control-flow path;
-    /// `block_pos[l]` is the index of `l` within its block.
-    fn reaches(&self, prog: &Program, block_pos: &[u32], l1: Label, l2: Label) -> bool {
-        if l1 == l2 {
-            return false;
-        }
-        let (b1, b2) = (prog.stmt(l1).block, prog.stmt(l2).block);
-        if b1 == b2 {
-            return block_pos[l1.index()] < block_pos[l2.index()];
-        }
-        self.block_reach[b1.index()][b2.index()]
-    }
-
-    /// All labels strictly after `l` in this function.
-    fn after<'a>(
-        &'a self,
-        prog: &'a Program,
-        block_pos: &'a [u32],
-        l: Label,
-    ) -> impl Iterator<Item = Label> + 'a {
-        self.labels
-            .iter()
-            .copied()
-            .filter(move |&m| self.reaches(prog, block_pos, l, m))
+    /// Indices of function `f`'s sites.
+    fn of(&self, f: usize) -> std::ops::Range<usize> {
+        self.start[f] as usize..self.start[f + 1] as usize
     }
 }
 
@@ -91,32 +193,37 @@ impl IntraReach {
 #[derive(Debug)]
 pub struct OrderGraph<'p> {
     prog: &'p Program,
-    cg: &'p CallGraph,
-    intra: Vec<IntraReach>,
+    /// `intra[f]` — block reachability of function `f`.
+    intra: Vec<BitRows>,
     /// `block_pos[l]` — the index of label `l` within its block.
     block_pos: Vec<u32>,
-    /// `join_of_entry[f]` — join sites whose thread has `f` among its
-    /// entry functions.
-    join_of_entry: Vec<Vec<Label>>,
-    /// Function-level may-follow closure: `func_follow[f]` contains `g`
-    /// iff some happens-before chain starting in `f` can reach a label
-    /// of `g` (call/fork descent, return-to-caller, entry-to-join).
-    /// A necessary condition used to reject most queries in O(1).
-    func_follow: Vec<Vec<bool>>,
-    /// Memoized query results; queries repeat heavily during Alg. 2's
-    /// edge construction and `Φ_po` generation. A mutex (not `RefCell`)
-    /// so the graph is `Sync` and the sharded interference rounds can
-    /// query it from worker threads; results are pure, so racing
-    /// fills are idempotent and scheduling cannot affect answers.
-    cache: Mutex<HashMap<(Label, Label), bool>>,
+    /// Calls and forks with resolved targets; a site's row holds every
+    /// function its targets reach through call and fork edges.
+    down: SiteTable,
+    /// Call sites with resolved targets and join sites of threads with
+    /// a resolved entry; a site's row holds every `f` whose `Asc(f)`
+    /// contains it.
+    up: SiteTable,
+    /// `desc_from[f1]` holds `f2` iff some call or fork of `f1`
+    /// descends into `f2` — the gate of condition 2.
+    desc_from: BitRows,
+    /// `asc_into[f1]` holds `f2` iff some site of `Asc(f1)` lies in
+    /// `f2` — the gate of condition 4.
+    asc_into: BitRows,
+    /// `asc_desc[f1]` holds `f2` iff a call or fork after some site of
+    /// `Asc(f1)` descends into `f2` — condition 3.
+    asc_desc: BitRows,
+    /// `func_follow[f1]` holds `f2` iff some label of `f1` may happen
+    /// before some label of `f2`: `f1` itself plus the three tables
+    /// above. About half of all queries stop at this one bit.
+    func_follow: BitRows,
 }
 
 impl<'p> OrderGraph<'p> {
     /// Builds the order graph for a program and its call graph.
     pub fn build(prog: &'p Program, cg: &'p CallGraph) -> Self {
-        let intra = (0..prog.funcs.len())
-            .map(|i| IntraReach::compute(prog, FuncId::new(i as u32)))
-            .collect();
+        let n = prog.funcs.len();
+        let intra: Vec<BitRows> = prog.funcs.iter().map(block_reach).collect();
         let mut block_pos = vec![0u32; prog.stmt_count()];
         for func in &prog.funcs {
             for block in &func.blocks {
@@ -125,72 +232,191 @@ impl<'p> OrderGraph<'p> {
                 }
             }
         }
-        let mut join_of_entry: Vec<Vec<Label>> = vec![Vec::new(); prog.funcs.len()];
-        for info in prog.threads.iter() {
+        // Thread entries of each join site (a join orders the whole
+        // thread before its continuation), sorted by join site.
+        let mut joined: Vec<(Label, FuncId)> = Vec::new();
+        for info in &prog.threads {
             let (Some(fork), Some(join)) = (info.fork_site, info.join_site) else {
                 continue;
             };
             for &entry in cg.fork_targets.get(&fork).map_or(&[][..], Vec::as_slice) {
-                join_of_entry[entry.index()].push(join);
+                joined.push((join, entry));
             }
         }
-        // Function-level follow graph: call/fork descent, return to
-        // callers, thread entry to the join's function.
-        let n = prog.funcs.len();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for l in prog.labels() {
-            match prog.inst(l) {
-                Inst::Call { .. } | Inst::Fork { .. } => {
-                    let f = prog.func_of(l).index();
-                    for &g in cg.targets(l) {
-                        adj[f].push(g.index());
+        joined.sort_unstable();
+        let (join_sites, join_entries): (Vec<Label>, Vec<FuncId>) = joined.into_iter().unzip();
+
+        let mut reach = BitRows::new(n, n);
+        for (f, closure) in cg.closure.iter().enumerate() {
+            for g in closure {
+                reach.set(f, g.index());
+            }
+        }
+
+        // One pass over every function's labels lays out both site
+        // tables; `up_of[i]` lists the functions whose return (or, for
+        // a join, whose thread's end) resumes execution after up-site i.
+        let mut down_sites = Vec::new();
+        let mut down_start = vec![0u32];
+        let mut down_targets: Vec<&[FuncId]> = Vec::new();
+        let mut up_sites = Vec::new();
+        let mut up_start = vec![0u32];
+        let mut up_of: Vec<&[FuncId]> = Vec::new();
+        for func in &prog.funcs {
+            for (b, block) in func.blocks.iter().enumerate() {
+                for (i, &l) in block.stmts.iter().enumerate() {
+                    let (block, pos) = (b as u32, i as u32);
+                    match prog.inst(l) {
+                        Inst::Call { .. } | Inst::Fork { .. } => {
+                            let targets = cg.targets(l);
+                            if targets.is_empty() {
+                                continue;
+                            }
+                            down_sites.push(Site { block, pos });
+                            down_targets.push(targets);
+                            if matches!(prog.inst(l), Inst::Call { .. }) {
+                                up_sites.push(Site {
+                                    block,
+                                    pos: pos + 1,
+                                });
+                                up_of.push(targets);
+                            }
+                        }
+                        Inst::Join { .. } => {
+                            let lo = join_sites.partition_point(|&j| j < l);
+                            let hi = join_sites.partition_point(|&j| j <= l);
+                            if lo < hi {
+                                up_sites.push(Site { block, pos });
+                                up_of.push(&join_entries[lo..hi]);
+                            }
+                        }
+                        _ => {}
                     }
                 }
-                _ => {}
+            }
+            down_start.push(down_sites.len() as u32);
+            up_start.push(up_sites.len() as u32);
+        }
+
+        let mut down = SiteTable::new(down_start, down_sites, n);
+        let mut up = SiteTable::new(up_start, up_sites, n);
+        for (i, targets) in down_targets.iter().enumerate() {
+            for g in targets.iter() {
+                down.rows.or_row(i, reach.row(g.index()));
             }
         }
-        for (g, callers) in cg.callers_of.iter().enumerate() {
-            for &(caller, _) in callers {
-                adj[g].push(caller.index());
+        let mut desc_from = BitRows::new(n, n);
+        for f in 0..n {
+            for i in down.of(f) {
+                desc_from.or_row(f, down.rows.row(i));
             }
         }
-        for (f, joins) in join_of_entry.iter().enumerate() {
-            for &j in joins {
-                adj[f].push(prog.func_of(j).index());
-            }
-        }
-        let mut func_follow = vec![vec![false; n]; n];
-        #[allow(clippy::needless_range_loop)]
-        for start in 0..n {
-            let mut work = vec![start];
-            func_follow[start][start] = true;
-            while let Some(x) = work.pop() {
-                for &y in &adj[x] {
-                    if !func_follow[start][y] {
-                        func_follow[start][y] = true;
-                        work.push(y);
-                    }
+
+        // Ascent graph: returning from `g` resumes in the function of
+        // each up-site that lists `g`. `asc_into[f]` is its strict
+        // transitive closure, so `Asc(f)` is the up-sites listing a
+        // member of `{f} ∪ asc_into[f]`.
+        let mut asc_succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for f in 0..n {
+            for i in up.of(f) {
+                for g in up_of[i] {
+                    asc_succ[g.index()].push(f);
                 }
             }
+        }
+        let mut asc_into = BitRows::new(n, n);
+        let mut work = Vec::new();
+        for f in 0..n {
+            work.extend(asc_succ[f].iter().copied());
+            while let Some(g) = work.pop() {
+                if !asc_into.get(f, g) {
+                    asc_into.set(f, g);
+                    work.extend(asc_succ[g].iter().copied());
+                }
+            }
+        }
+        // `resumes[g]` — the functions `f` with `g ∈ {f} ∪ asc_into[f]`.
+        let mut resumes = BitRows::new(n, n);
+        for f in 0..n {
+            resumes.set(f, f);
+            for g in asc_into.ones(f) {
+                resumes.set(g, f);
+            }
+        }
+        // `after_up[g]` — what the descent sites after an up-site that
+        // lists `g` reach.
+        let mut after_up = BitRows::new(n, n);
+        let mut after = vec![0u64; after_up.words];
+        for (f, reach_f) in intra.iter().enumerate() {
+            for i in up.of(f) {
+                let s = up.sites[i];
+                after.fill(0);
+                for j in down.of(f) {
+                    let m = down.sites[j];
+                    let follows = if m.block == s.block {
+                        m.pos >= s.pos
+                    } else {
+                        reach_f.get(s.block as usize, m.block as usize)
+                    };
+                    if follows {
+                        for (a, b) in after.iter_mut().zip(down.rows.row(j)) {
+                            *a |= b;
+                        }
+                    }
+                }
+                for g in up_of[i] {
+                    up.rows.or_row(i, resumes.row(g.index()));
+                    after_up.or_row(g.index(), &after);
+                }
+            }
+        }
+        let mut asc_desc = BitRows::new(n, n);
+        for f in 0..n {
+            asc_desc.or_row(f, after_up.row(f));
+            for g in asc_into.ones(f) {
+                asc_desc.or_row(f, after_up.row(g));
+            }
+        }
+        let mut func_follow = BitRows::new(n, n);
+        for f in 0..n {
+            func_follow.set(f, f);
+            func_follow.or_row(f, desc_from.row(f));
+            func_follow.or_row(f, asc_into.row(f));
+            func_follow.or_row(f, asc_desc.row(f));
         }
         OrderGraph {
             prog,
-            cg,
             intra,
             block_pos,
-            join_of_entry,
+            down,
+            up,
+            desc_from,
+            asc_into,
+            asc_desc,
             func_follow,
-            cache: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// `(block, index in block)` of a label.
+    fn point(&self, l: Label) -> (usize, u32) {
+        (self.prog.stmt(l).block.index(), self.block_pos[l.index()])
     }
 
     /// Whether `l2` follows `l1` within the same function's CFG.
     pub fn intra_reaches(&self, l1: Label, l2: Label) -> bool {
-        let f1 = self.prog.func_of(l1);
-        if f1 != self.prog.func_of(l2) {
-            return false;
+        let f = self.prog.func_of(l1);
+        l1 != l2 && f == self.prog.func_of(l2) && self.intra_follows(f.index(), l1, l2)
+    }
+
+    /// Whether distinct labels `l1` and `l2` of function `f` are ordered
+    /// by its block DAG.
+    fn intra_follows(&self, f: usize, l1: Label, l2: Label) -> bool {
+        let ((b1, p1), (b2, p2)) = (self.point(l1), self.point(l2));
+        if b1 == b2 {
+            p1 < p2
+        } else {
+            self.intra[f].get(b1, b2)
         }
-        self.intra[f1.index()].reaches(self.prog, &self.block_pos, l1, l2)
     }
 
     /// The program order `<P` of Defn. 2(2): returns `true` when, in
@@ -209,76 +435,46 @@ impl<'p> OrderGraph<'p> {
         if l1 == l2 {
             return false;
         }
-        // Necessary condition: the target's function must be follow-
-        // reachable from the source's function.
-        let (f1, f2) = (self.prog.func_of(l1), self.prog.func_of(l2));
-        if !self.func_follow[f1.index()][f2.index()] {
+        let (f1, f2) = (self.prog.func_of(l1).index(), self.prog.func_of(l2).index());
+        if !self.func_follow.get(f1, f2) {
             return false;
         }
-        if let Some(&hit) = self.cache.lock().get(&(l1, l2)) {
-            return hit;
-        }
-        let result = self.happens_before_uncached(l1, l2);
-        self.cache.lock().insert((l1, l2), result);
-        result
+        (f1 == f2 && self.intra_follows(f1, l1, l2))
+            || self.asc_desc.get(f1, f2)
+            || (self.desc_from.get(f1, f2) && self.descends_after(f1, l1, f2))
+            || (self.asc_into.get(f1, f2) && self.ascends_before(f1, f2, l2))
     }
 
-    fn happens_before_uncached(&self, l1: Label, l2: Label) -> bool {
-        // Worklist items are "execution has passed label `l`". The flag
-        // records whether the item's *own* callees still lie ahead: true
-        // only for the query's origin (a call event precedes its callee
-        // body). A call site reached by *ascending* has already returned
-        // — re-descending into it would fabricate the reverse order and
-        // break antisymmetry.
-        let mut visited: HashSet<Label> = HashSet::new();
-        let mut work: Vec<(Label, bool)> = vec![(l1, true)];
-        visited.insert(l1);
-        let target_func = self.prog.func_of(l2);
-        while let Some((l, descend_self)) = work.pop() {
-            let f = self.prog.func_of(l);
-            let ir = &self.intra[f.index()];
-            if descend_self && self.descends_to(l, target_func) {
-                return true;
-            }
-            for m in ir.after(self.prog, &self.block_pos, l) {
-                if m == l2 {
-                    return true;
+    /// Condition 2: a call or fork of `f1` at or after `l1` descends
+    /// into `f2`.
+    fn descends_after(&self, f1: usize, l1: Label, f2: usize) -> bool {
+        let (b1, p1) = self.point(l1);
+        let intra = &self.intra[f1];
+        self.down.of(f1).any(|i| {
+            let m = self.down.sites[i];
+            self.down.rows.get(i, f2)
+                && if m.block as usize == b1 {
+                    m.pos >= p1
+                } else {
+                    intra.get(b1, m.block as usize)
                 }
-                if self.descends_to(m, target_func) {
-                    return true;
-                }
-            }
-            // Ascend: after this function returns, execution resumes
-            // after each of its call sites; thread entries resume at the
-            // thread's join site.
-            for &(_caller, site) in &self.cg.callers_of[f.index()] {
-                if visited.insert(site) {
-                    work.push((site, false));
-                }
-            }
-            for &join in &self.join_of_entry[f.index()] {
-                if join == l2 {
-                    return true;
-                }
-                if visited.insert(join) {
-                    work.push((join, true));
-                }
-            }
-        }
-        false
+        })
     }
 
-    /// Whether the statement at `m` (if a call or fork) can transitively
-    /// reach `target` through its callees.
-    fn descends_to(&self, m: Label, target: FuncId) -> bool {
-        match self.prog.inst(m) {
-            Inst::Call { .. } | Inst::Fork { .. } => self
-                .cg
-                .targets(m)
-                .iter()
-                .any(|&g| self.cg.reaches(g, target)),
-            _ => false,
-        }
+    /// Condition 4: some site of `Asc(f1)` in `f2` is ordered before
+    /// `l2` (or is the join site `l2`).
+    fn ascends_before(&self, f1: usize, f2: usize, l2: Label) -> bool {
+        let (b2, p2) = self.point(l2);
+        let intra = &self.intra[f2];
+        self.up.of(f2).any(|i| {
+            let s = self.up.sites[i];
+            self.up.rows.get(i, f1)
+                && if s.block as usize == b2 {
+                    s.pos <= p2
+                } else {
+                    intra.get(s.block as usize, b2)
+                }
+        })
     }
 
     /// Convenience: the pairwise program-order relation for `Φ_po`
