@@ -476,9 +476,14 @@ impl Canary {
     }
 
     fn analyze_uncloned(&self, prog: &Program, tracer: &Tracer) -> AnalysisOutcome {
-        let (mut pool, df, ir_result, cg, ts, metrics0) = self.build_vfg_traced(prog, tracer);
-        let mhp = MhpAnalysis::new(prog, &cg, &ts);
-        let mut metrics = metrics0;
+        let (cg, ts, mut vfg) = self.alg1_phase(prog, tracer);
+        // Detection reuses the MHP relation Alg. 2 pruned with.
+        let (mhp, ir_result) = self.alg2_phase(prog, &cg, &ts, &mut vfg, tracer);
+        let VfgBuild {
+            mut pool,
+            df,
+            mut metrics,
+        } = vfg;
 
         // Seed the run-wide audit log with the interference layer's
         // pruned store/load pairs — candidates suppressed before any
@@ -663,6 +668,18 @@ impl Canary {
         ThreadStructure,
         Metrics,
     ) {
+        let (cg, ts, mut vfg) = self.alg1_phase(prog, tracer);
+        let ir_result = self.alg2_phase(prog, &cg, &ts, &mut vfg, tracer).1;
+        (vfg.pool, vfg.df, ir_result, cg, ts, vfg.metrics)
+    }
+
+    /// Call graph, thread structure and Alg. 1; the `dataflow` timer
+    /// covers all three.
+    fn alg1_phase(
+        &self,
+        prog: &Program,
+        tracer: &Tracer,
+    ) -> (CallGraph, ThreadStructure, VfgBuild) {
         let threads = self.config.threads.max(1);
         let mut metrics = Metrics {
             stmt_count: prog.stmt_count(),
@@ -679,7 +696,7 @@ impl Canary {
             let ts = ThreadStructure::compute(prog, &cg);
             (cg, ts)
         };
-        let mut df = {
+        let df = {
             let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 1, || "alg1".into());
             let df = canary_dataflow::run_traced(prog, &cg, &mut pool, threads, tracer);
             phase.record("tasks", df.tasks as u64);
@@ -701,18 +718,29 @@ impl Canary {
                 metrics.t_dataflow
             )
         });
+        (cg, ts, VfgBuild { pool, df, metrics })
+    }
 
+    /// MHP and Alg. 2; the `interference` timer covers both. Returns
+    /// the MHP relation so detection can reuse it.
+    fn alg2_phase<'a>(
+        &self,
+        prog: &'a Program,
+        cg: &'a CallGraph,
+        ts: &'a ThreadStructure,
+        vfg: &mut VfgBuild,
+        tracer: &Tracer,
+    ) -> (MhpAnalysis<'a>, InterferenceResult) {
+        let VfgBuild { pool, df, metrics } = vfg;
         let t1 = Instant::now();
-        let mhp = MhpAnalysis::new(prog, &cg, &ts);
+        let mhp = MhpAnalysis::new(prog, cg, ts);
         // The pipeline-wide knob drives the interference shards unless
         // the phase options already ask for more.
         let mut iopts = self.config.interference.clone();
-        iopts.threads = iopts.threads.max(threads);
+        iopts.threads = iopts.threads.max(self.config.threads.max(1));
         let ir_result = {
             let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 2, || "alg2".into());
-            let r = canary_interference::run_traced(
-                prog, &ts, &mhp, &mut df, &mut pool, &iopts, tracer,
-            );
+            let r = canary_interference::run_traced(prog, ts, &mhp, df, pool, &iopts, tracer);
             phase.record("rounds", r.rounds as u64);
             phase.record("interference_edges", r.interference_edges as u64);
             phase.record("mhp_lock_pruned", r.mhp_lock_pruned as u64);
@@ -732,7 +760,6 @@ impl Canary {
                 ir_result.rounds, ir_result.interference_edges, metrics.t_interference
             )
         });
-        drop(mhp);
 
         metrics.vfg_nodes = df.vfg.node_count();
         metrics.vfg_edges = df.vfg.edge_count();
@@ -743,8 +770,16 @@ impl Canary {
         metrics.term_count = pool.len();
         metrics.term_bytes = pool.approx_bytes();
         metrics.func_profiles = df.func_profiles.clone();
-        (pool, df, ir_result, cg, ts, metrics)
+        (mhp, ir_result)
     }
+}
+
+/// The value-flow graph under construction: what Alg. 1 builds and
+/// Alg. 2 extends with interference edges.
+struct VfgBuild {
+    pool: TermPool,
+    df: canary_dataflow::DataflowResult,
+    metrics: Metrics,
 }
 
 #[cfg(test)]
