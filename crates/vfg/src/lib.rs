@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use canary_ir::{Label, ObjId, Program, VarId};
@@ -299,17 +299,17 @@ impl Vfg {
     /// points-to set of `n` as read off the graph, which is how the
     /// escape analysis and the checkers resolve pointer identity.
     pub fn objects_reaching(&self, n: NodeId) -> Vec<ObjId> {
-        let mut seen = vec![false; self.nodes.len()];
+        // A reverse search usually stops a few nodes from `n`, so the
+        // visited set grows with the search, not with the graph.
+        let mut seen: HashSet<NodeId> = HashSet::from([n]);
         let mut work = vec![n];
-        seen[n.index()] = true;
         let mut out = Vec::new();
         while let Some(x) = work.pop() {
             if let NodeKind::Object { obj, .. } = self.kind(x) {
                 out.push(obj);
             }
             for e in self.in_edges(x) {
-                if !seen[e.from.index()] {
-                    seen[e.from.index()] = true;
+                if seen.insert(e.from) {
                     work.push(e.from);
                 }
             }
