@@ -231,6 +231,10 @@ impl<'p> DetectContext<'p> {
 struct Candidate {
     query: TermId,
     report: BugReport,
+    /// The value-flow path of a path-based candidate. Only reports
+    /// carry provenance, so [`validate`] builds it from the path just
+    /// before reporting.
+    path: Option<VfPath>,
     path_len: u64,
     family: u64,
     /// The pending [`AuditLog`] record opened when the candidate was
@@ -437,10 +441,6 @@ fn validate(
     let mut profiles = Vec::with_capacity(outcomes.len());
     for (qi, (cand, o)) in candidates.iter().zip(&outcomes).enumerate() {
         let (bool_atoms, order_atoms) = count_atoms(pool, cand.query);
-        // Cross-link the span with the report the query belongs to:
-        // the fingerprint is the stable join key between trace events
-        // and emitted findings.
-        let fp = cand.report.fingerprint(ctx.prog);
         let p = QueryProfile {
             kind,
             source: cand.report.source,
@@ -502,7 +502,10 @@ fn validate(
                     ("incremental", u64::from(p.incremental)),
                 ];
                 if p.sat {
-                    args.push(("report_fp", fp.0));
+                    // Cross-link the span with the report the query
+                    // belongs to: the fingerprint is the stable join key
+                    // between trace events and emitted findings.
+                    args.push(("report_fp", cand.report.fingerprint(ctx.prog).0));
                 }
                 args
             },
@@ -589,13 +592,16 @@ fn validate(
             continue;
         }
         let key = (cand.report.kind, cand.report.source, cand.report.sink);
-        let fp = cand.report.fingerprint(ctx.prog);
         if let Some(&winner) = seen.get(&key) {
             audit.dispose(cand.audit_id, Disposition::Deduped { winner });
             continue;
         }
+        let fp = cand.report.fingerprint(ctx.prog);
         seen.insert(key, fp);
         audit.dispose(cand.audit_id, Disposition::Reported { fingerprint: fp });
+        if let Some(path) = &cand.path {
+            cand.report.provenance = Some(build_provenance(ctx, pool, path));
+        }
         // Extract one concrete interleaving for the report (§2): a
         // topological order of the model's order atoms, completed with
         // the fork/join sites the oracle needs to replay it, plus the
@@ -754,7 +760,7 @@ fn uaf_candidates(
                     extra.push(pool.order_lt(free_label.0, sink_label.0));
                 }
                 if let Some(c) = finish_candidate(
-                    ctx, pool, opts, kind, free_label, sink_label, &p, &extra, audit,
+                    ctx, pool, opts, kind, free_label, sink_label, p, &extra, audit,
                 ) {
                     out.push(c);
                 }
@@ -805,7 +811,7 @@ fn flow_candidates(
             };
             let extra = vec![src_guard];
             if let Some(c) = finish_candidate(
-                ctx, pool, opts, kind, src_label, sink_label, &p, &extra, audit,
+                ctx, pool, opts, kind, src_label, sink_label, p, &extra, audit,
             ) {
                 out.push(c);
             }
@@ -939,6 +945,7 @@ fn double_lock_candidates(
             }];
             out.push(Candidate {
                 query,
+                path: None,
                 path_len: 2,
                 family: u64::from(a.label.0),
                 audit_id: audit.begin_candidate(BugKind::DoubleLock, a.label, b.label),
@@ -1153,6 +1160,7 @@ fn conflict_lock_candidates(
             .collect();
         out.push(Candidate {
             query,
+            path: None,
             path_len: labels.len() as u64,
             family: u64::from(source.0),
             audit_id: audit.begin_candidate(BugKind::ConflictLock, source, sink),
@@ -1188,7 +1196,7 @@ fn finish_candidate(
     kind: BugKind,
     source: Label,
     sink: Label,
-    p: &VfPath,
+    p: VfPath,
     extra: &[TermId],
     audit: &mut AuditLog,
 ) -> Option<Candidate> {
@@ -1248,7 +1256,6 @@ fn finish_candidate(
         .iter()
         .map(|&n| ctx.df.vfg.render_node(ctx.prog, n))
         .collect();
-    let provenance = build_provenance(ctx, pool, p);
     Some(Candidate {
         query,
         path_len: p.nodes.len() as u64,
@@ -1263,8 +1270,9 @@ fn finish_candidate(
             constraint: String::new(),
             schedule: Vec::new(),
             guards: Vec::new(),
-            provenance: Some(provenance),
+            provenance: None,
         },
+        path: Some(p),
     })
 }
 
