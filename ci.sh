@@ -5,6 +5,11 @@
 # byte-identical analysis output — then lint and smoke-test the CLI.
 set -eux
 
+# Every artifact the smoke checks write goes into one private directory,
+# removed on exit, so concurrent runs do not overwrite each other's.
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
 cargo build --release --offline
 # The two workspace runs execute every suite of every crate, serially
 # and with the parallel front-end. Vendored proptest seeds each case
@@ -35,44 +40,44 @@ cargo clippy --workspace --offline -- -D warnings
 # on the store-buffer machine under tso/pso but has no SC witness, so
 # --verify-witnesses separates the models at the CLI level.
 ./target/release/canary examples/tso_sb.cir --checkers doublefree \
-    --memory-model sc --verify-witnesses > /tmp/canary_sb_sc.out || [ $? -eq 1 ]
-grep -q 'witness verification: 0/1' /tmp/canary_sb_sc.out
+    --memory-model sc --verify-witnesses > "$out/sb_sc.out" || [ $? -eq 1 ]
+grep -q 'witness verification: 0/1' "$out/sb_sc.out"
 for model in tso pso; do
     ./target/release/canary examples/tso_sb.cir --checkers doublefree \
         --memory-model "$model" --verify-witnesses \
-        > "/tmp/canary_sb_$model.out" || [ $? -eq 1 ]
-    grep -q 'witness verification: 1/1' "/tmp/canary_sb_$model.out"
+        > "$out/sb_$model.out" || [ $? -eq 1 ]
+    grep -q 'witness verification: 1/1' "$out/sb_$model.out"
 done
 # Trace smoke: the profiler must emit a parseable Chrome trace covering
 # every pipeline phase plus at least one per-SMT-query span.
 ./target/release/canary examples/fig2_variant.cir --stats \
-    --trace-out /tmp/canary_trace.json || [ $? -eq 1 ]  # exit 1 = bug reported
+    --trace-out "$out/trace.json" || [ $? -eq 1 ]  # exit 1 = bug reported
 # Validate the trace as real JSON when python3 is available; the grep
 # fallback is only for environments without python3 (previously the
 # `2>/dev/null ||` chain silently masked malformed JSON).
 if command -v python3 >/dev/null 2>&1; then
-    python3 -c 'import json; json.load(open("/tmp/canary_trace.json"))'
+    DOC="$out/trace.json" python3 -c 'import json, os; json.load(open(os.environ["DOC"]))'
 else
-    grep -q '"traceEvents"' /tmp/canary_trace.json
+    grep -q '"traceEvents"' "$out/trace.json"
 fi
 for span in '"callgraph"' '"alg1"' '"alg2"' '"detect"' 'smt.query:'; do
-    grep -q "$span" /tmp/canary_trace.json
+    grep -q "$span" "$out/trace.json"
 done
 # Report observability gates: the SARIF export must validate against
 # the (vendored, minimal) 2.1.0 schema. Prefer a real jsonschema
 # validation, fall back to a structural python3 check, then to grep.
 ./target/release/canary examples/fig2_variant.cir --format sarif \
-    > /tmp/canary_fig2.sarif || [ $? -eq 1 ]  # exit 1 = bug reported
+    > "$out/fig2.sarif" || [ $? -eq 1 ]  # exit 1 = bug reported
 if python3 -c 'import jsonschema' 2>/dev/null; then
-    python3 -c '
-import json, jsonschema
-doc = json.load(open("/tmp/canary_fig2.sarif"))
+    DOC="$out/fig2.sarif" python3 -c '
+import json, jsonschema, os
+doc = json.load(open(os.environ["DOC"]))
 schema = json.load(open("docs/sarif-2.1.0-minimal.schema.json"))
 jsonschema.validate(doc, schema)'
 elif command -v python3 >/dev/null 2>&1; then
-    python3 -c '
-import json
-doc = json.load(open("/tmp/canary_fig2.sarif"))
+    DOC="$out/fig2.sarif" python3 -c '
+import json, os
+doc = json.load(open(os.environ["DOC"]))
 assert doc["version"] == "2.1.0"
 run = doc["runs"][0]
 assert run["tool"]["driver"]["name"] == "canary"
@@ -81,35 +86,35 @@ assert res["message"]["text"]
 assert res["partialFingerprints"]["canary/v1"]
 assert res["codeFlows"][0]["threadFlows"][0]["locations"]'
 else
-    grep -q '"version": "2.1.0"' /tmp/canary_fig2.sarif
-    grep -q '"threadFlows"' /tmp/canary_fig2.sarif
-    grep -q '"partialFingerprints"' /tmp/canary_fig2.sarif
+    grep -q '"version": "2.1.0"' "$out/fig2.sarif"
+    grep -q '"threadFlows"' "$out/fig2.sarif"
+    grep -q '"partialFingerprints"' "$out/fig2.sarif"
 fi
 # Two-run baseline smoke: an unchanged corpus must classify every
 # finding as persisting (zero new), so the baseline gate exits 0 even
 # though the run has findings; `canary diff` of a run against itself
 # agrees.
 ./target/release/canary examples/fig2_variant.cir \
-    --baseline /tmp/canary_fig2.sarif > /dev/null
-./target/release/canary diff /tmp/canary_fig2.sarif /tmp/canary_fig2.sarif \
+    --baseline "$out/fig2.sarif" > /dev/null
+./target/release/canary diff "$out/fig2.sarif" "$out/fig2.sarif" \
     | grep -q '0 new, 0 fixed'
 # Deadlock example smoke: both lock checkers fire (exit 1) and the
 # SARIF export validates like the Fig. 2 document above.
 ./target/release/canary examples/deadlock.cir --format sarif \
-    > /tmp/canary_deadlock.sarif || [ $? -eq 1 ]  # exit 1 = bug reported
+    > "$out/deadlock.sarif" || [ $? -eq 1 ]  # exit 1 = bug reported
 if python3 -c 'import jsonschema' 2>/dev/null; then
-    python3 -c '
-import json, jsonschema
-doc = json.load(open("/tmp/canary_deadlock.sarif"))
+    DOC="$out/deadlock.sarif" python3 -c '
+import json, jsonschema, os
+doc = json.load(open(os.environ["DOC"]))
 schema = json.load(open("docs/sarif-2.1.0-minimal.schema.json"))
 jsonschema.validate(doc, schema)
 rules = [r["ruleId"] for r in doc["runs"][0]["results"]]
 assert "canary/double-lock" in rules, rules
 assert "canary/conflict-lock" in rules, rules'
 elif command -v python3 >/dev/null 2>&1; then
-    python3 -c '
-import json
-doc = json.load(open("/tmp/canary_deadlock.sarif"))
+    DOC="$out/deadlock.sarif" python3 -c '
+import json, os
+doc = json.load(open(os.environ["DOC"]))
 assert doc["version"] == "2.1.0"
 run = doc["runs"][0]
 rules = [r["ruleId"] for r in run["results"]]
@@ -118,18 +123,18 @@ assert "canary/conflict-lock" in rules, rules
 for r in run["results"]:
     assert run["tool"]["driver"]["rules"][r["ruleIndex"]]["id"] == r["ruleId"]'
 else
-    grep -q '"canary/double-lock"' /tmp/canary_deadlock.sarif
-    grep -q '"canary/conflict-lock"' /tmp/canary_deadlock.sarif
+    grep -q '"canary/double-lock"' "$out/deadlock.sarif"
+    grep -q '"canary/conflict-lock"' "$out/deadlock.sarif"
 fi
 # Store-buffer litmus SARIF smoke: the tso run of the SB example must
 # validate against the schema, report the double free, and record the
 # memory model in the run manifest.
 ./target/release/canary examples/tso_sb.cir --memory-model tso --format sarif \
-    > /tmp/canary_tso_sb.sarif || [ $? -eq 1 ]  # exit 1 = bug reported
+    > "$out/tso_sb.sarif" || [ $? -eq 1 ]  # exit 1 = bug reported
 if python3 -c 'import jsonschema' 2>/dev/null; then
-    python3 -c '
-import json, jsonschema
-doc = json.load(open("/tmp/canary_tso_sb.sarif"))
+    DOC="$out/tso_sb.sarif" python3 -c '
+import json, jsonschema, os
+doc = json.load(open(os.environ["DOC"]))
 schema = json.load(open("docs/sarif-2.1.0-minimal.schema.json"))
 jsonschema.validate(doc, schema)
 run = doc["runs"][0]
@@ -137,70 +142,70 @@ rules = [r["ruleId"] for r in run["results"]]
 assert "canary/double-free" in rules, rules
 assert run["invocations"][0]["properties"]["config"]["memory_model"] == "tso"'
 elif command -v python3 >/dev/null 2>&1; then
-    python3 -c '
-import json
-doc = json.load(open("/tmp/canary_tso_sb.sarif"))
+    DOC="$out/tso_sb.sarif" python3 -c '
+import json, os
+doc = json.load(open(os.environ["DOC"]))
 assert doc["version"] == "2.1.0"
 run = doc["runs"][0]
 rules = [r["ruleId"] for r in run["results"]]
 assert "canary/double-free" in rules, rules
 assert run["invocations"][0]["properties"]["config"]["memory_model"] == "tso"'
 else
-    grep -q '"canary/double-free"' /tmp/canary_tso_sb.sarif
-    grep -q '"memory_model": "tso"' /tmp/canary_tso_sb.sarif
+    grep -q '"canary/double-free"' "$out/tso_sb.sarif"
+    grep -q '"memory_model": "tso"' "$out/tso_sb.sarif"
 fi
 # Run-health telemetry gates: OpenMetrics export smoke, --log flag
 # smoke, and the `canary bench diff` regression gate — a fresh
 # artifact must self-diff clean and a perturbed copy must fail, so
 # the gate itself is gated.
 ./target/release/canary examples/fig2_variant.cir --log off \
-    --metrics-out /tmp/canary_fig2.om > /dev/null || [ $? -eq 1 ]  # exit 1 = bug reported
-tail -c 6 /tmp/canary_fig2.om | grep -q '# EOF'
-grep -q '^canary_detect_queries_total 1$' /tmp/canary_fig2.om
-grep -q '^canary_smt_query_seconds_bucket{kind="use-after-free",le="+Inf"} 1$' /tmp/canary_fig2.om
-grep -q '^canary_term_table_bytes ' /tmp/canary_fig2.om
-grep -q '^canary_phase_peak_rss_bytes{phase="detect"} ' /tmp/canary_fig2.om
+    --metrics-out "$out/fig2.om" > /dev/null || [ $? -eq 1 ]  # exit 1 = bug reported
+tail -c 6 "$out/fig2.om" | grep -q '# EOF'
+grep -q '^canary_detect_queries_total 1$' "$out/fig2.om"
+grep -q '^canary_smt_query_seconds_bucket{kind="use-after-free",le="+Inf"} 1$' "$out/fig2.om"
+grep -q '^canary_term_table_bytes ' "$out/fig2.om"
+grep -q '^canary_phase_peak_rss_bytes{phase="detect"} ' "$out/fig2.om"
 # --log summary heartbeats reach stderr only: stdout matches a quiet run.
 ./target/release/canary examples/fig2.cir --log summary \
-    > /tmp/canary_log.out 2> /tmp/canary_log.err
-grep -q 'canary: alg1: level' /tmp/canary_log.err
-grep -q '(converged)' /tmp/canary_log.err
-./target/release/canary examples/fig2.cir > /tmp/canary_quiet.out
-cmp /tmp/canary_log.out /tmp/canary_quiet.out
+    > "$out/log.out" 2> "$out/log.err"
+grep -q 'canary: alg1: level' "$out/log.err"
+grep -q '(converged)' "$out/log.err"
+./target/release/canary examples/fig2.cir > "$out/quiet.out"
+cmp "$out/log.out" "$out/quiet.out"
 # The committed bench artifact self-diffs clean (exit 0, no regressions).
-./target/release/canary bench diff BENCH_8.json BENCH_8.json > /tmp/canary_bench_self.out
-grep -q '0 regressed' /tmp/canary_bench_self.out
+./target/release/canary bench diff BENCH_8.json BENCH_8.json > "$out/bench_self.out"
+grep -q '0 regressed' "$out/bench_self.out"
 # A +25% aggregate-time perturbation must gate exit 1 and name the metric.
 if command -v python3 >/dev/null 2>&1; then
-    python3 -c '
-import json
+    DOC="$out/bench_slow.json" python3 -c '
+import json, os
 d = json.load(open("BENCH_8.json"))
 d["aggregate"]["telemetry_on_total_s"] *= 1.25
-json.dump(d, open("/tmp/canary_bench_slow.json", "w"))'
+json.dump(d, open(os.environ["DOC"], "w"))'
     base=BENCH_8.json
 else
-    printf '{"aggregate": {"telemetry_on_total_s": 0.100}}' > /tmp/canary_bench_base.json
-    printf '{"aggregate": {"telemetry_on_total_s": 0.125}}' > /tmp/canary_bench_slow.json
-    base=/tmp/canary_bench_base.json
+    printf '{"aggregate": {"telemetry_on_total_s": 0.100}}' > "$out/bench_base.json"
+    printf '{"aggregate": {"telemetry_on_total_s": 0.125}}' > "$out/bench_slow.json"
+    base="$out/bench_base.json"
 fi
 rc=0
-./target/release/canary bench diff "$base" /tmp/canary_bench_slow.json \
-    > /tmp/canary_bench_diff.out || rc=$?
+./target/release/canary bench diff "$base" "$out/bench_slow.json" \
+    > "$out/bench_diff.out" || rc=$?
 [ "$rc" -eq 1 ]
-grep -q 'REGRESSED' /tmp/canary_bench_diff.out
+grep -q 'REGRESSED' "$out/bench_diff.out"
 # The --audit-out export on the three-certificate example must carry
 # one record per line that validates against the vendored mini-schema
 # (same three-tier fallback as the SARIF gate), and --stats must print
 # a reconciled audit line.
 ./target/release/canary examples/audited.cir --stats \
-    --audit-out /tmp/canary_audited.jsonl > /tmp/canary_audited.out
-grep -q '^audit: ' /tmp/canary_audited.out
-! grep -q 'RECONCILIATION FAILED' /tmp/canary_audited.out
+    --audit-out "$out/audited.jsonl" > "$out/audited.out"
+grep -q '^audit: ' "$out/audited.out"
+! grep -q 'RECONCILIATION FAILED' "$out/audited.out"
 if python3 -c 'import jsonschema' 2>/dev/null; then
-    python3 -c '
-import json, jsonschema
+    DOC="$out/audited.jsonl" python3 -c '
+import json, jsonschema, os
 schema = json.load(open("docs/audit-minimal.schema.json"))
-lines = [l for l in open("/tmp/canary_audited.jsonl") if l.strip()]
+lines = [l for l in open(os.environ["DOC"]) if l.strip()]
 assert lines, "empty audit export"
 tags = set()
 for i, line in enumerate(lines):
@@ -210,9 +215,9 @@ for i, line in enumerate(lines):
     tags.add(rec["disposition"])
 assert {"pruned_mhp", "pruned_lock_sharpen", "unsat_core"} <= tags, tags'
 elif command -v python3 >/dev/null 2>&1; then
-    python3 -c '
-import json
-lines = [l for l in open("/tmp/canary_audited.jsonl") if l.strip()]
+    DOC="$out/audited.jsonl" python3 -c '
+import json, os
+lines = [l for l in open(os.environ["DOC"]) if l.strip()]
 assert lines, "empty audit export"
 tags = set()
 for i, line in enumerate(lines):
@@ -223,9 +228,9 @@ for i, line in enumerate(lines):
     tags.add(rec["disposition"])
 assert {"pruned_mhp", "pruned_lock_sharpen", "unsat_core"} <= tags, tags'
 else
-    grep -q '"disposition":"pruned_mhp"' /tmp/canary_audited.jsonl
-    grep -q '"disposition":"pruned_lock_sharpen"' /tmp/canary_audited.jsonl
-    grep -q '"disposition":"unsat_core"' /tmp/canary_audited.jsonl
+    grep -q '"disposition":"pruned_mhp"' "$out/audited.jsonl"
+    grep -q '"disposition":"pruned_lock_sharpen"' "$out/audited.jsonl"
+    grep -q '"disposition":"unsat_core"' "$out/audited.jsonl"
 fi
 # why-not smoke: the reported fig2_variant pair answers "reported",
 # each suppressed audited.cir pair prints its layer's certificate, and
@@ -240,12 +245,12 @@ fi
     | grep -q 'refuted by the solver'
 rc=0
 ./target/release/canary why-not examples/audited.cir l1 l2 \
-    > /tmp/canary_whynot_none.out || rc=$?
+    > "$out/whynot_none.out" || rc=$?
 [ "$rc" -eq 1 ]
-grep -q 'never enumerated' /tmp/canary_whynot_none.out
+grep -q 'never enumerated' "$out/whynot_none.out"
 # why smoke: the fig2_variant fingerprint round-trips from the SARIF
 # export back into an explanation.
-fp=$(grep -o '"canary/v1": "[0-9a-f]*"' /tmp/canary_fig2.sarif \
+fp=$(grep -o '"canary/v1": "[0-9a-f]*"' "$out/fig2.sarif" \
     | head -1 | cut -d'"' -f4)
 ./target/release/canary why examples/fig2_variant.cir "$fp" \
     | grep -q 'reported: confirmed finding'
