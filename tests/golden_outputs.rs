@@ -26,7 +26,13 @@
 //! The corpus covers the five `examples/*.cir` files under their
 //! memory models, `WorkloadSpec::{lean, lean_locks, litmus}` for seeds
 //! 0–3 (litmus under TSO for odd seeds, PSO for even ones), one
-//! query-family subject and the Tbl. 1 suite at 1 statement per KLoC.
+//! query-family subject, the Tbl. 1 suite at 1 statement per KLoC and,
+//! at benchmark scale, the Tbl. 1 suite at 4 statements per KLoC (the
+//! perfbench `scale-sweep` subjects) and the three saturation points
+//! of perfbench `hard-families` at run seed 0. At benchmark scale many
+//! bottom-up levels hold sibling call-graph SCCs that share guard terms
+//! and VFG nodes, so these rows pin the numbering that the order in
+//! which Alg. 1 analyzes sibling SCCs fixes.
 //!
 //! Every subject runs under `CanaryConfig::default()` plus its memory
 //! model, so `CANARY_TEST_THREADS=2` checks the sharded front end
@@ -207,6 +213,54 @@ fn table1_suite_matches_golden_hashes() {
     check(subjects, TABLE1);
 }
 
+#[test]
+fn table1_suite_at_benchmark_scale_matches_golden_hashes() {
+    let scale = SuiteScale {
+        stmts_per_kloc: 4.0,
+        ..SuiteScale::default()
+    };
+    let subjects = table1_suite(scale)
+        .into_iter()
+        .map(|spec| (spec.name.clone(), generate(&spec).prog, MemoryModel::Sc))
+        .collect();
+    check(subjects, TABLE1_X4);
+}
+
+#[test]
+fn saturation_points_match_golden_hashes() {
+    // The saturation points of perfbench `hard-families` at run seed 0.
+    let subjects = [("sat-2k", 2000, 8, 5), ("sat-5k", 5000, 12, 6), ("sat-9k", 9000, 16, 6)]
+        .into_iter()
+        .map(|(name, size, families, fanout)| {
+            let spec = WorkloadSpec {
+                name: name.into(),
+                seed: 0xB50 + size as u64,
+                target_stmts: size,
+                threads: 3,
+                shared_cells: 6,
+                true_bugs: 2,
+                benign_patterns: 2,
+                contradiction_patterns: families,
+                handshake_patterns: 1,
+                order_fp_patterns: 2,
+                double_free: 1,
+                null_deref: 1,
+                leak: 1,
+                double_lock: 0,
+                conflict_lock: 0,
+                sb_patterns: 0,
+                mp_patterns: 0,
+                lb_patterns: 0,
+                family_fanout: fanout,
+                hard_family_ratio: 0.5,
+                filler: true,
+            };
+            (name.to_string(), generate(&spec).prog, MemoryModel::Sc)
+        })
+        .collect();
+    check(subjects, SATURATION);
+}
+
 #[rustfmt::skip]
 const EXAMPLES: &[Row] = &[
     ("audited.cir", "2a9e0c074e2982aa", "28f2c70206cea39f", "2cc820b025fa0731", "5bdce452b32f2abd"),
@@ -259,4 +313,35 @@ const TABLE1: &[Row] = &[
     ("ffmpeg", "fff045c32b8866e7", "f25fbaed44849987", "ec7af9a838c2085e", "5bdcdb52b32f1b72"),
     ("mysql", "0a9181bbf7f760ee", "b6362e864c2f1127", "cc7a1972110296f8", "4782858679254d97"),
     ("firefox", "d82f5a48eb8a0aac", "dcd5c02b56f2c7ca", "6faa61d96b83ed04", "b63f835112496276"),
+];
+
+#[rustfmt::skip]
+const TABLE1_X4: &[Row] = &[
+    ("lrzip", "6efeff4a5c8319e2", "431d7c5b4aeb477d", "7e632aa55010bde9", "c4efc7769112e9fe"),
+    ("lwan", "fcaf2883c4720329", "81b9c9b928af243a", "e6decab97777aff9", "5c6e310627f32581"),
+    ("leveldb", "6a89ebf29dcd9425", "12342a208ea15fa4", "8b5e9ce6792557b6", "b14cd280f43f4ce2"),
+    ("darknet", "d0d0682f22f98373", "f2300a78f62cdf38", "4e4ed509360dd6db", "5bdce052b32f23f1"),
+    ("coturn", "3a90aff8e9035466", "506a32ff73953331", "4b3a943bde447ac6", "e20e7b02eca0fa46"),
+    ("httrack", "bd0a1eb320b6aa64", "37563aec39a7dab3", "5ed4c25f2076fa18", "fdf8858ef70a6e0b"),
+    ("finedb", "34908881b0fede50", "ed4fdbc671604397", "38ffae703ec228d3", "2754a86b9125a6a8"),
+    ("tcpdump", "7f0437d6268ac2a1", "9ea737387d99f739", "3e284e948cce0b44", "5bdce052b32f23f1"),
+    ("transmission", "c3aee0912a754535", "43bb7f60fab51b07", "ec7c0c6bb877d8f9", "ee697580471cd882"),
+    ("celix", "153706839411b645", "8e95c29fe4e9d6b6", "85fc51cc531d57f0", "5bdce052b32f23f1"),
+    ("redis", "efc1c26e4257fec3", "203673f9e13b4d0b", "2eb19b6b571a8372", "5bdce052b32f23f1"),
+    ("git", "2256e41cbd8c019c", "5133cc8a0ffd5026", "67306cbd2b610fa0", "5bdce052b32f23f1"),
+    ("zfs", "ef8cb2ae49fe6e3b", "7e5e31bf4f50e5c4", "ebda446dc3318adc", "332ca666e2cdcd31"),
+    ("HP-Socket", "5e45abf1579d8f5e", "9bdae3b388624ac9", "8d08e1ef08b26794", "5bdce052b32f23f1"),
+    ("openssl", "fb689c5bf2702b84", "18186baf3e9dec47", "5a44b57e802922ca", "9f635af4e925ab87"),
+    ("poco", "0a4db73e39707139", "a67b7a3b6df4a36e", "be98c23ea6cb1388", "5bdcdb52b32f1b72"),
+    ("mariadb", "8f76cd4b06f38566", "cbe83cff3769a6bb", "4851d8c468f517d1", "af70651579f3dea0"),
+    ("ffmpeg", "fff045c32b8866e7", "3011903934c9f874", "a8a236ea0f5a750c", "47787386791cda7c"),
+    ("mysql", "0a9181bbf7f760ee", "ea25752e0a52145d", "17a4dc3622100607", "477bf586791fed39"),
+    ("firefox", "ef44cf1221e77b5d", "cbbee8e56780e728", "aacb5912b9238e5a", "61f2ef0d5983de6d"),
+];
+
+#[rustfmt::skip]
+const SATURATION: &[Row] = &[
+    ("sat-2k", "39edec4c6661f879", "7afb0c309801786a", "ed963d018db867c4", "50b3414974854f50"),
+    ("sat-5k", "9a0e5aa1aa328d06", "eb5ac27b54eedddf", "ccce4825eb142b8d", "3286e7cdcf24c2d6"),
+    ("sat-9k", "f7fdded94a4356de", "17e2395e32a8c3d6", "9960906358d68afd", "44070958bd30dcfd"),
 ];
