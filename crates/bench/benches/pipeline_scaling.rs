@@ -1,12 +1,10 @@
 //! Criterion bench behind Fig. 8: Canary's full bug-hunting pipeline
 //! (VFG construction + inter-thread UAF checking) across program sizes,
-//! whose near-linear growth is the paper's scalability claim — plus the
-//! worker-thread sweep for the parallel front-end (level-parallel
-//! Alg. 1 tasks and sharded Alg. 2 rounds).
+//! whose near-linear growth is the paper's scalability claim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use canary_bench::{measure_front_end, run_canary_uaf};
+use canary_bench::run_canary_uaf;
 use canary_workloads::{generate, WorkloadSpec};
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -26,34 +24,6 @@ fn bench_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// Dataflow + interference wall time at 1, 2 and 4 workers on the
-/// largest Fig. 8 subject. Deterministic output means the sweep is an
-/// apples-to-apples wall-time comparison: every run builds the same
-/// pool, VFG and facts byte-for-byte.
-fn bench_thread_scaling(c: &mut Criterion) {
-    let mut g = c.benchmark_group("front_end_thread_scaling");
-    g.sample_size(10);
-    let spec = WorkloadSpec {
-        target_stmts: 4800,
-        ..WorkloadSpec::small(0xF168)
-    };
-    let w = generate(&spec);
-    for &threads in &[1usize, 2, 4] {
-        g.bench_with_input(BenchmarkId::new("vfg_front_end", threads), &w, |b, w| {
-            b.iter(|| measure_front_end(w, threads));
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_pipeline, bench_thread_scaling);
+criterion_group!(benches, bench_pipeline);
 criterion_main!(benches);
 
-/// Smoke check on the sweep itself (the runnable copy lives in
-/// `tests/scaling_smoke.rs`; `harness = false` keeps this one out of
-/// `cargo test`): at 4 workers the front-end must not regress past
-/// 1.5× the serial wall time on the largest subject.
-#[test]
-fn four_workers_do_not_regress_front_end() {
-    canary_bench::assert_thread_scaling_sane();
-}

@@ -126,7 +126,7 @@ fn main() {
     // Drill-down on the largest subject: where Canary's front-end time
     // goes (phases) and which functions dominate Alg. 1.
     if let Some((name, w)) = largest {
-        let m = measure_front_end(&w, 1);
+        let m = measure_front_end(&w);
         println!("\n## Front-end breakdown — {name} (largest subject)");
         println!(
             "{}",

@@ -107,15 +107,10 @@ pub fn uaf_config() -> CanaryConfig {
     }
 }
 
-/// The VFG front-end (Alg. 1 + Alg. 2) at an explicit worker count,
-/// returning the per-phase metrics — the raw material for the thread
-/// scaling chart. Output is byte-identical across `threads`; only the
-/// phase wall times move.
-pub fn measure_front_end(w: &Workload, threads: usize) -> canary_core::Metrics {
-    let canary = Canary::with_config(CanaryConfig {
-        threads,
-        ..uaf_config()
-    });
+/// The VFG front-end (Alg. 1 + Alg. 2) on one subject, returning the
+/// per-phase metrics.
+pub fn measure_front_end(w: &Workload) -> canary_core::Metrics {
+    let canary = Canary::with_config(uaf_config());
     let (_pool, _df, _ir, _cg, _ts, metrics) = canary.build_vfg(&w.prog);
     metrics
 }
@@ -248,48 +243,6 @@ pub fn run_baseline_uaf(
         }
         Budgeted::TimedOut => None,
     }
-}
-
-/// The scaling smoke property behind `benches/pipeline_scaling.rs` and
-/// `tests/scaling_smoke.rs`: on the largest Fig. 8 subject, the
-/// dataflow + interference front-end at 4 workers must finish within
-/// 1.5× the serial wall time (parallelism may help or break even, but
-/// must not wreck the serial path). On a single-core host the wall-time
-/// comparison is meaningless — four workers time-slice one CPU — so the
-/// sweep still runs (exercising the parallel machinery) but the ratio
-/// is only reported, not asserted.
-///
-/// # Panics
-///
-/// Panics when the host has ≥ 2 CPUs and the 4-worker front-end
-/// exceeds 1.5× the serial time.
-pub fn assert_thread_scaling_sane() {
-    use canary_workloads::{generate, WorkloadSpec};
-    let spec = WorkloadSpec {
-        target_stmts: 4800,
-        ..WorkloadSpec::small(0xF168)
-    };
-    let w = generate(&spec);
-    // Best-of-3 per configuration damps scheduler noise.
-    let best = |threads: usize| {
-        (0..3)
-            .map(|_| measure_front_end(&w, threads).t_vfg())
-            .min()
-            .expect("three samples")
-    };
-    let serial = best(1);
-    let par = best(4);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if cores < 2 {
-        eprintln!(
-            "single-core host: front-end serial {serial:?} vs 4-worker {par:?} (not asserted)"
-        );
-        return;
-    }
-    assert!(
-        par.as_secs_f64() <= serial.as_secs_f64() * 1.5,
-        "front-end at 4 workers took {par:?}, serial took {serial:?} (> 1.5x)"
-    );
 }
 
 /// Which baseline to drive.

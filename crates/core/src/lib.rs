@@ -80,12 +80,12 @@ pub struct CanaryConfig {
     /// is rewritten before analysis and reports reference the rewritten
     /// labels (the transformed program travels in the outcome).
     pub context_depth: usize,
-    /// Worker threads for the parallel front-end (level-parallel Alg. 1
-    /// tasks, sharded Alg. 2 rounds) and, unless overridden there, the
-    /// SMT portfolio. Every phase is deterministic: output is
-    /// byte-identical for any value, threads only change wall time.
-    /// Defaults to `1`, or to `CANARY_TEST_THREADS` when set (so test
-    /// suites can sweep worker counts without code changes).
+    /// Worker threads of the query-family solver (the larger of this
+    /// and `detect.solver.num_threads` is used); Alg. 1 and Alg. 2 run
+    /// on the calling thread. Output is byte-identical for any value,
+    /// threads only change wall time. Defaults to `1`, or to
+    /// `CANARY_TEST_THREADS` when set (so test suites can sweep worker
+    /// counts without code changes).
     pub threads: usize,
     /// Concretely replay each confirmed report's witness schedule with
     /// the `canary-oracle` interpreter and record the outcomes in
@@ -126,13 +126,12 @@ fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Wall time and scheduling shape of one parallel phase, for the
-/// scaling charts in `crates/bench`.
+/// Wall time and scheduling shape of one pipeline phase.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseStats {
     /// Wall-clock time of the phase.
     pub wall: Duration,
-    /// Worker threads the phase was configured with.
+    /// Worker threads the phase ran with (1 for Alg. 1 and Alg. 2).
     pub workers: usize,
     /// Independent work items the phase executed (call-graph SCC tasks
     /// for Alg. 1; `Pted` sweeps plus per-load scans for Alg. 2; SMT
@@ -178,7 +177,7 @@ pub struct Metrics {
     pub t_detect: Duration,
     /// Candidate paths / SMT queries / confirmed reports.
     pub detect: DetectStats,
-    /// Worker threads the front-end ran with.
+    /// Configured worker threads ([`CanaryConfig::threads`]).
     pub worker_threads: usize,
     /// Scheduling shape of the Alg. 1 phase.
     pub dataflow_phase: PhaseStats,
@@ -195,7 +194,7 @@ pub struct Metrics {
     /// Fingerprint-equal findings collapsed before emission (the same
     /// bug surfacing through several checkers or paths).
     pub reports_deduped: usize,
-    /// Per-function Alg. 1 cost profiles, in commit order.
+    /// Per-function Alg. 1 cost profiles, in analysis order.
     pub func_profiles: Vec<FuncProfile>,
     /// Per-SMT-query attribution records, in checker/query order.
     pub query_profiles: Vec<QueryProfile>,
@@ -274,7 +273,7 @@ impl Metrics {
         g(&mut reg, "canary_term_table_terms", "Interned SMT terms", self.term_count as f64);
         g(&mut reg, "canary_term_table_bytes", "Approximate term-table bytes (deterministic)", self.term_bytes as f64);
         g(&mut reg, "canary_escaped_objects", "Escaped objects found by Alg. 2", self.escaped_objects as f64);
-        g(&mut reg, "canary_worker_threads", "Configured front-end worker threads", self.worker_threads as f64);
+        g(&mut reg, "canary_worker_threads", "Configured worker threads", self.worker_threads as f64);
 
         let c = |reg: &mut MetricsRegistry, name, help, v: f64| {
             reg.add_counter(name, help, &[], v);
@@ -518,8 +517,8 @@ impl Canary {
         }
 
         let t0 = Instant::now();
-        // One `threads` knob rules the whole pipeline: lift it into the
-        // SMT portfolio too, unless the solver was tuned separately.
+        // The `threads` knob sets the query-family solver's workers,
+        // unless the solver was tuned separately to more.
         let mut detect_opts = self.config.detect.clone();
         detect_opts.solver.num_threads = detect_opts.solver.num_threads.max(self.config.threads.max(1));
         let ctx = DetectContext::new(prog, &ts, &mhp, &df, &detect_opts);
@@ -680,11 +679,10 @@ impl Canary {
         prog: &Program,
         tracer: &Tracer,
     ) -> (CallGraph, ThreadStructure, VfgBuild) {
-        let threads = self.config.threads.max(1);
         let mut metrics = Metrics {
             stmt_count: prog.stmt_count(),
             thread_count: prog.threads.len(),
-            worker_threads: threads,
+            worker_threads: self.config.threads.max(1),
             ..Metrics::default()
         };
         let mut pool = TermPool::new();
@@ -698,7 +696,7 @@ impl Canary {
         };
         let df = {
             let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 1, || "alg1".into());
-            let df = canary_dataflow::run_traced(prog, &cg, &mut pool, threads, tracer);
+            let df = canary_dataflow::run_traced(prog, &cg, &mut pool, tracer);
             phase.record("tasks", df.tasks as u64);
             phase.record("functions", df.func_profiles.len() as u64);
             df
@@ -706,7 +704,7 @@ impl Canary {
         metrics.t_dataflow = t0.elapsed();
         metrics.dataflow_phase = PhaseStats {
             wall: metrics.t_dataflow,
-            workers: threads,
+            workers: 1,
             tasks: df.tasks,
             peak_rss: canary_trace::metrics::peak_rss_bytes(),
         };
@@ -734,13 +732,10 @@ impl Canary {
         let VfgBuild { pool, df, metrics } = vfg;
         let t1 = Instant::now();
         let mhp = MhpAnalysis::new(prog, cg, ts);
-        // The pipeline-wide knob drives the interference shards unless
-        // the phase options already ask for more.
-        let mut iopts = self.config.interference.clone();
-        iopts.threads = iopts.threads.max(self.config.threads.max(1));
         let ir_result = {
             let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 2, || "alg2".into());
-            let r = canary_interference::run_traced(prog, ts, &mhp, df, pool, &iopts, tracer);
+            let iopts = &self.config.interference;
+            let r = canary_interference::run_traced(prog, ts, &mhp, df, pool, iopts, tracer);
             phase.record("rounds", r.rounds as u64);
             phase.record("interference_edges", r.interference_edges as u64);
             phase.record("mhp_lock_pruned", r.mhp_lock_pruned as u64);
@@ -750,7 +745,7 @@ impl Canary {
         metrics.t_interference = t1.elapsed();
         metrics.interference_phase = PhaseStats {
             wall: metrics.t_interference,
-            workers: iopts.threads,
+            workers: 1,
             tasks: ir_result.tasks,
             peak_rss: canary_trace::metrics::peak_rss_bytes(),
         };

@@ -10,33 +10,24 @@
 //! summary (Alg. 1 lines 23–24) — inter-thread effects are the business
 //! of the interference analysis.
 //!
-//! # Parallel execution
+//! # Schedule
 //!
-//! The bottom-up walk is scheduled level by level over
-//! [`CallGraph::bottom_up_levels`]: call-graph SCCs whose callees all
-//! sit in lower levels form one level's tasks and are mutually
-//! independent, so [`run_with`] fans them out across a worker pool.
-//! Each task analyzes its functions against *frozen* level-start state
-//! — shared points-to sets, the published summary table, the base term
-//! pool and VFG — and accumulates every side effect locally
-//! ([`canary_smt::ScratchPool`], [`canary_vfg::VfgScratch`], a
-//! points-to overlay, private summaries). Task outputs are then
-//! committed in task order. Because a task's output is a pure function
-//! of the level-start state and the commit order is fixed, the final
-//! result — term ids, VFG numbering, report output — is byte-identical
-//! for any worker count; `threads == 1` runs the very same task/commit
-//! machinery inline.
+//! Functions are analyzed task by task over
+//! [`CallGraph::bottom_up_levels`]: each task is one call-graph SCC,
+//! every callee outside it sits in a lower level, and the levels run
+//! in ascending order. Each task writes its guard terms, VFG nodes and
+//! edges, points-to sets and summaries straight into the run's
+//! [`TermPool`] and [`Vfg`] before the next task starts, so the level
+//! and task order fixes every term id and node number.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 use canary_ir::{CallGraph, FuncId, Inst, Label, Program, Terminator, VarId};
-use canary_smt::{ScratchLog, ScratchPool, TermBuild, TermId, TermPool, TermRemap};
+use canary_smt::{TermId, TermPool};
 use canary_trace::{Tracer, LANE_ALG1};
-use canary_vfg::{EdgeKind, NodeId, Vfg, VfgLog, VfgScratch};
-use parking_lot::RwLock;
+use canary_vfg::{EdgeKind, NodeId, Vfg};
 
-use crate::exec;
 use crate::pathcond::PathConditions;
 use crate::symbols::{insert_guarded, CellSet, Guarded, MemKey, MemVal, PtsSet, Sym};
 
@@ -133,11 +124,10 @@ pub struct DataflowResult {
     pub def_site: Vec<Option<Label>>,
     /// Per-function summaries.
     pub summaries: Vec<FuncSummary>,
-    /// Number of scheduler tasks (call-graph SCCs) executed — the unit
-    /// the per-phase metrics report.
+    /// Number of tasks (call-graph SCCs) analyzed — the unit the
+    /// per-phase metrics report.
     pub tasks: usize,
-    /// Per-function cost profiles, in commit (task) order — i.e. in a
-    /// deterministic order independent of the worker count.
+    /// Per-function cost profiles, in analysis (task) order.
     pub func_profiles: Vec<FuncProfile>,
 }
 
@@ -149,48 +139,45 @@ impl DataflowResult {
     }
 }
 
-/// Runs Algorithm 1 over the whole program on the calling thread.
-///
-/// Identical to [`run_with`] at one worker — the serial path *is* the
-/// parallel path, so results are comparable byte-for-byte.
+/// Runs Algorithm 1 over the whole program.
 pub fn run(prog: &Program, cg: &CallGraph, pool: &mut TermPool) -> DataflowResult {
-    run_with(prog, cg, pool, 1)
+    run_traced(prog, cg, pool, &Tracer::disabled())
 }
 
-/// Runs Algorithm 1 with up to `threads` workers analyzing independent
-/// call-graph SCCs of each bottom-up level concurrently.
-///
-/// Output is guaranteed byte-identical across `threads` values: worker
-/// scheduling affects only wall time, never term ids, VFG numbering, or
-/// any downstream report.
+/// [`run`] with a worker count, which is ignored: Alg. 1 runs on the
+/// calling thread. Kept for callers written against the signature.
 pub fn run_with(
     prog: &Program,
     cg: &CallGraph,
     pool: &mut TermPool,
-    threads: usize,
+    _threads: usize,
 ) -> DataflowResult {
-    run_traced(prog, cg, pool, threads, &Tracer::disabled())
+    run(prog, cg, pool)
 }
 
-/// [`run_with`] plus observability: per-level and per-function spans on
+/// [`run`] plus observability: per-level and per-function spans on
 /// the Alg. 1 lane, and per-function [`FuncProfile`]s in the result.
-/// With a disabled tracer this *is* `run_with` — the spans cost one
-/// branch each.
+/// With a disabled tracer this *is* `run` — the spans cost one branch
+/// each.
 pub fn run_traced(
     prog: &Program,
     cg: &CallGraph,
     pool: &mut TermPool,
-    threads: usize,
     tracer: &Tracer,
 ) -> DataflowResult {
     let path_conds = PathConditions::compute(prog, pool);
     let def_site = compute_def_sites(prog);
-    let mut shared = Shared {
+    let mut a = Alg1 {
+        prog,
+        cg,
+        pc: &path_conds,
+        def_site: &def_site,
+        pool,
         vfg: Vfg::new(),
         pgtop: vec![Vec::new(); prog.vars.len()],
         stores: Vec::new(),
         loads: Vec::new(),
-        summaries: RwLock::new(vec![FuncSummary::default(); prog.funcs.len()]),
+        summaries: vec![FuncSummary::default(); prog.funcs.len()],
         analyzed: vec![false; prog.funcs.len()],
         func_profiles: Vec::new(),
     };
@@ -198,7 +185,7 @@ pub fn run_traced(
     let levels = cg.bottom_up_levels();
     let total_levels = levels.len();
     let total_tasks: usize = levels.iter().map(|l| l.len()).sum();
-    let t_start = std::time::Instant::now();
+    let t_start = Instant::now();
     for (lvl, level) in levels.into_iter().enumerate() {
         tasks += level.len();
         let mut level_span = tracer.span(LANE_ALG1, "alg1", lvl as u64, || {
@@ -207,25 +194,10 @@ pub fn run_traced(
         canary_trace::log(canary_trace::LogLevel::Debug, || {
             format!("alg1: level {lvl}, {} task(s)", level.len())
         });
-        // Fan the level's tasks out against frozen state; reborrows end
-        // with the block, handing exclusive access back to the commits.
-        let outs = {
-            let shared_ref = &shared;
-            let frozen: &TermPool = pool;
-            let pc = &path_conds;
-            let ds = &def_site;
-            exec::run_indexed(level.len(), threads, |i| {
-                run_task(prog, cg, pc, ds, shared_ref, frozen, &level[i], tracer)
-            })
-        };
-        level_span.record("tasks", level.len() as u64);
-        level_span.record(
-            "scratch_terms",
-            outs.iter().map(|o| o.terms.len() as u64).sum(),
-        );
-        for out in outs {
-            commit_task(&mut shared, pool, out);
+        for members in &level {
+            a.run_task(members, tracer);
         }
+        level_span.record("tasks", level.len() as u64);
         level_span.finish();
         canary_trace::log(canary_trace::LogLevel::Summary, || {
             let done_levels = lvl + 1;
@@ -239,21 +211,30 @@ pub fn run_traced(
                 String::new()
             };
             format!(
-                "alg1: level {done_levels}/{total_levels} committed, \
+                "alg1: level {done_levels}/{total_levels} done, \
                  {tasks}/{total_tasks} task(s) in {elapsed:?}{eta}"
             )
         });
     }
+    let Alg1 {
+        vfg,
+        pgtop,
+        stores,
+        loads,
+        summaries,
+        func_profiles,
+        ..
+    } = a;
     DataflowResult {
-        vfg: shared.vfg,
-        pgtop: shared.pgtop,
+        vfg,
+        pgtop,
         path_conds,
-        stores: shared.stores,
-        loads: shared.loads,
+        stores,
+        loads,
         def_site,
-        summaries: shared.summaries.into_inner(),
+        summaries,
         tasks,
-        func_profiles: shared.func_profiles,
+        func_profiles,
     }
 }
 
@@ -278,176 +259,22 @@ fn compute_def_sites(prog: &Program) -> Vec<Option<Label>> {
     def_site
 }
 
-/// Committed analysis state, frozen while a level's tasks run. The
-/// summary table sits behind a lock because it is the one piece of
-/// state workers read per-callee while the coordinator publishes
-/// between levels; everything else is written only at commit time.
-struct Shared {
-    vfg: Vfg,
-    pgtop: Vec<PtsSet>,
-    stores: Vec<StoreSite>,
-    loads: Vec<LoadSite>,
-    summaries: RwLock<Vec<FuncSummary>>,
-    analyzed: Vec<bool>,
-    func_profiles: Vec<FuncProfile>,
-}
-
-/// Everything one task produced, in scratch-relative term ids. Owned
-/// (no borrows of the frozen state), so the coordinator can commit
-/// outputs while later levels' borrows are long gone.
-struct TaskOut {
-    funcs: Vec<usize>,
-    terms: ScratchLog,
-    vfg: VfgLog,
-    pgtop: Vec<(usize, PtsSet)>,
-    summaries: Vec<(usize, FuncSummary)>,
-    stores: Vec<StoreSite>,
-    loads: Vec<LoadSite>,
-    profiles: Vec<FuncProfile>,
-}
-
-/// Analyzes one task (one call-graph SCC) against frozen shared state.
-#[allow(clippy::too_many_arguments)]
-fn run_task(
-    prog: &Program,
-    cg: &CallGraph,
-    pc: &PathConditions,
-    def_site: &[Option<Label>],
-    shared: &Shared,
-    pool: &TermPool,
-    members: &[FuncId],
-    tracer: &Tracer,
-) -> TaskOut {
-    let mut ctx = TaskCtx {
-        prog,
-        cg,
-        pc,
-        def_site,
-        shared,
-        pool: ScratchPool::new(pool),
-        vfg: VfgScratch::new(&shared.vfg),
-        pgtop: HashMap::new(),
-        summaries: HashMap::new(),
-        analyzed_local: HashSet::new(),
-        stores: Vec::new(),
-        loads: Vec::new(),
-    };
-    let mut profiles = Vec::with_capacity(members.len());
-    for &f in members {
-        let stores_before = ctx.stores.len() as u64;
-        let loads_before = ctx.loads.len() as u64;
-        let started = Instant::now();
-        let visit = ctx.analyze_func(f);
-        let wall = started.elapsed();
-        ctx.analyzed_local.insert(f.index());
-        let profile = FuncProfile {
-            func: f.index(),
-            name: prog.func(f).name.clone(),
-            stmt_visits: visit.stmts,
-            blocks: visit.blocks,
-            summary_cells: visit.summary_cells,
-            stores: ctx.stores.len() as u64 - stores_before,
-            loads: ctx.loads.len() as u64 - loads_before,
-            wall,
-        };
-        tracer.event(
-            LANE_ALG1,
-            "alg1.func",
-            f.index() as u64,
-            || format!("alg1.func:{}", profile.name),
-            started,
-            wall,
-            || {
-                vec![
-                    ("stmt_visits", profile.stmt_visits),
-                    ("blocks", profile.blocks),
-                    ("summary_cells", profile.summary_cells),
-                    ("stores", profile.stores),
-                    ("loads", profile.loads),
-                ]
-            },
-        );
-        profiles.push(profile);
-    }
-    let mut pgtop: Vec<(usize, PtsSet)> = ctx.pgtop.into_iter().collect();
-    pgtop.sort_unstable_by_key(|&(v, _)| v);
-    let mut summaries: Vec<(usize, FuncSummary)> = ctx.summaries.into_iter().collect();
-    summaries.sort_unstable_by_key(|&(f, _)| f);
-    TaskOut {
-        funcs: members.iter().map(|f| f.index()).collect(),
-        terms: ctx.pool.into_log(),
-        vfg: ctx.vfg.into_log(),
-        pgtop,
-        summaries,
-        stores: ctx.stores,
-        loads: ctx.loads,
-        profiles,
-    }
-}
-
-/// Merges one task's output into the shared state. Called in task order
-/// — the single point that fixes the global numbering of everything the
-/// workers produced.
-fn commit_task(shared: &mut Shared, pool: &mut TermPool, out: TaskOut) {
-    let remap = out.terms.commit(pool);
-    out.vfg.commit(&mut shared.vfg, &remap);
-    for (v, mut set) in out.pgtop {
-        remap_guards(&remap, &mut set);
-        // Tasks only touch their own functions' variables, so this
-        // overwrite never clobbers a sibling's work.
-        shared.pgtop[v] = set;
-    }
-    for mut s in out.stores {
-        s.guard = remap.remap(s.guard);
-        shared.stores.push(s);
-    }
-    for mut l in out.loads {
-        l.guard = remap.remap(l.guard);
-        shared.loads.push(l);
-    }
-    let mut table = shared.summaries.write();
-    for (f, mut summary) in out.summaries {
-        for (_, cells) in &mut summary.exit_mem {
-            remap_guards(&remap, cells);
-        }
-        for pl in &mut summary.param_loads {
-            pl.guard = remap.remap(pl.guard);
-        }
-        for (_, g, _) in &mut summary.returns {
-            *g = remap.remap(*g);
-        }
-        table[f] = summary;
-    }
-    drop(table);
-    for f in out.funcs {
-        shared.analyzed[f] = true;
-    }
-    shared.func_profiles.extend(out.profiles);
-}
-
-fn remap_guards<T>(remap: &TermRemap, set: &mut [Guarded<T>]) {
-    for e in set {
-        e.guard = remap.remap(e.guard);
-    }
-}
-
-struct TaskCtx<'e> {
+/// The analysis state Alg. 1 builds up task by task.
+struct Alg1<'e> {
     prog: &'e Program,
     cg: &'e CallGraph,
     pc: &'e PathConditions,
     def_site: &'e [Option<Label>],
-    shared: &'e Shared,
-    pool: ScratchPool<'e>,
-    vfg: VfgScratch<'e>,
-    /// Points-to overlay for variables this task defines; reads fall
-    /// through to the committed sets.
-    pgtop: HashMap<usize, PtsSet>,
-    /// Summaries of this task's own functions (intra-SCC visibility
-    /// before publication).
-    summaries: HashMap<usize, FuncSummary>,
-    analyzed_local: HashSet<usize>,
+    pool: &'e mut TermPool,
+    vfg: Vfg,
+    pgtop: Vec<PtsSet>,
     stores: Vec<StoreSite>,
     loads: Vec<LoadSite>,
+    summaries: Vec<FuncSummary>,
+    /// Whether each function's summary is ready: set once the function
+    /// has been analyzed, in a lower level or earlier in its own SCC.
+    analyzed: Vec<bool>,
+    func_profiles: Vec<FuncProfile>,
 }
 
 /// Work counters one `analyze_func` run produces (feeds [`FuncProfile`]).
@@ -464,39 +291,56 @@ struct FuncVisit {
 /// order, and with it the whole pool, run-to-run nondeterministic.)
 type Mem = BTreeMap<MemKey, CellSet>;
 
-impl TaskCtx<'_> {
-    /// The current points-to set of `v`: this task's overlay, else the
-    /// committed state.
+impl Alg1<'_> {
+    /// Analyzes one task (one call-graph SCC), members in bottom-up
+    /// order.
+    fn run_task(&mut self, members: &[FuncId], tracer: &Tracer) {
+        for &f in members {
+            let stores_before = self.stores.len() as u64;
+            let loads_before = self.loads.len() as u64;
+            let started = Instant::now();
+            let visit = self.analyze_func(f);
+            let wall = started.elapsed();
+            self.analyzed[f.index()] = true;
+            let profile = FuncProfile {
+                func: f.index(),
+                name: self.prog.func(f).name.clone(),
+                stmt_visits: visit.stmts,
+                blocks: visit.blocks,
+                summary_cells: visit.summary_cells,
+                stores: self.stores.len() as u64 - stores_before,
+                loads: self.loads.len() as u64 - loads_before,
+                wall,
+            };
+            tracer.event(
+                LANE_ALG1,
+                "alg1.func",
+                f.index() as u64,
+                || format!("alg1.func:{}", profile.name),
+                started,
+                wall,
+                || {
+                    vec![
+                        ("stmt_visits", profile.stmt_visits),
+                        ("blocks", profile.blocks),
+                        ("summary_cells", profile.summary_cells),
+                        ("stores", profile.stores),
+                        ("loads", profile.loads),
+                    ]
+                },
+            );
+            self.func_profiles.push(profile);
+        }
+    }
+
+    /// The current points-to set of `v`.
     fn pg(&self, v: VarId) -> PtsSet {
-        match self.pgtop.get(&v.index()) {
-            Some(set) => set.clone(),
-            None => self.shared.pgtop[v.index()].clone(),
-        }
+        self.pgtop[v.index()].clone()
     }
 
-    /// Inserts into `v`'s points-to set, copying the committed set into
-    /// the overlay on first write.
+    /// Inserts into `v`'s points-to set.
     fn pg_insert(&mut self, v: VarId, guard: TermId, value: Sym) {
-        use std::collections::hash_map::Entry;
-        let set = match self.pgtop.entry(v.index()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => e.insert(self.shared.pgtop[v.index()].clone()),
-        };
-        insert_guarded(&mut self.pool, set, guard, value);
-    }
-
-    /// Whether `f`'s summary is ready: published in a lower level, or
-    /// produced earlier within this task's SCC.
-    fn is_analyzed(&self, f: FuncId) -> bool {
-        self.analyzed_local.contains(&f.index()) || self.shared.analyzed[f.index()]
-    }
-
-    /// The summary of `f` as visible to this task.
-    fn summary_of(&self, f: FuncId) -> FuncSummary {
-        if let Some(s) = self.summaries.get(&f.index()) {
-            return s.clone();
-        }
-        self.shared.summaries.read()[f.index()].clone()
+        insert_guarded(self.pool, &mut self.pgtop[v.index()], guard, value);
     }
 
     fn def_node(&mut self, v: VarId) -> Option<NodeId> {
@@ -506,7 +350,7 @@ impl TaskCtx<'_> {
 
     fn analyze_func(&mut self, f: FuncId) -> FuncVisit {
         let mut visit = FuncVisit::default();
-        let func = self.prog.func(f).clone();
+        let func = self.prog.func(f);
         if func.blocks.iter().all(|b| b.stmts.is_empty()) {
             return visit;
         }
@@ -532,12 +376,12 @@ impl TaskCtx<'_> {
             }
             match &func.block(blk).term {
                 Terminator::Exit => {
-                    merge_mem(&mut self.pool, &mut exit_mem, &mem);
+                    merge_mem(self.pool, &mut exit_mem, &mem);
                 }
                 term => {
                     for succ in term.successors() {
                         let entry = block_in.entry(succ.0).or_default();
-                        merge_mem(&mut self.pool, entry, &mem);
+                        merge_mem(self.pool, entry, &mem);
                     }
                 }
             }
@@ -545,18 +389,15 @@ impl TaskCtx<'_> {
         visit.summary_cells = exit_mem.values().map(|c| c.len() as u64).sum::<u64>()
             + param_loads.len() as u64
             + returns.len() as u64;
-        self.summaries.insert(
-            f.index(),
-            FuncSummary {
-                exit_mem: {
-                    let mut v: Vec<(MemKey, CellSet)> = exit_mem.into_iter().collect();
-                    v.sort_by_key(|(k, _)| *k);
-                    v
-                },
-                param_loads,
-                returns,
+        self.summaries[f.index()] = FuncSummary {
+            exit_mem: {
+                let mut v: Vec<(MemKey, CellSet)> = exit_mem.into_iter().collect();
+                v.sort_by_key(|(k, _)| *k);
+                v
             },
-        );
+            param_loads,
+            returns,
+        };
         visit
     }
 
@@ -570,7 +411,7 @@ impl TaskCtx<'_> {
         param_loads: &mut Vec<ParamLoad>,
     ) {
         let phi = self.pc.guard(l);
-        match self.prog.inst(l).clone() {
+        match *self.prog.inst(l) {
             Inst::Alloc { dst, obj } => {
                 self.pg_insert(dst, phi, Sym::Obj(obj));
                 let on = self.vfg.obj_node(obj, l);
@@ -610,8 +451,8 @@ impl TaskCtx<'_> {
                         Sym::Null | Sym::DerefParam(_) => continue,
                     };
                     let base = self.pool.and2(phi, gamma);
-                    if let Some(cells) = mem.get(&key).cloned() {
-                        for Guarded { guard: delta, value: val } in cells {
+                    if let Some(cells) = mem.get(&key) {
+                        for &Guarded { guard: delta, value: val } in cells {
                             let g = self.pool.and2(base, delta);
                             if g == self.pool.ff() {
                                 continue;
@@ -665,7 +506,7 @@ impl TaskCtx<'_> {
                     let mut new_entries: CellSet = Vec::new();
                     if src_pts.is_empty() {
                         insert_guarded(
-                            &mut self.pool,
+                            self.pool,
                             &mut new_entries,
                             base,
                             MemVal {
@@ -677,7 +518,7 @@ impl TaskCtx<'_> {
                         for Guarded { guard: delta, value: s } in &src_pts {
                             let g = self.pool.and2(base, *delta);
                             insert_guarded(
-                                &mut self.pool,
+                                self.pool,
                                 &mut new_entries,
                                 g,
                                 MemVal {
@@ -693,25 +534,27 @@ impl TaskCtx<'_> {
                         *cell = new_entries;
                     } else {
                         for e in new_entries {
-                            insert_guarded(&mut self.pool, cell, e.guard, e.value);
+                            insert_guarded(self.pool, cell, e.guard, e.value);
                         }
                     }
                 }
             }
-            Inst::Call { dsts, callee: _, args } => {
+            Inst::Call {
+                ref dsts, ref args, ..
+            } => {
                 for &g in self.cg.targets(l) {
-                    self.bind_args(g, &args, phi);
-                    if self.is_analyzed(g) {
-                        self.apply_summary(f, g, l, &dsts, &args, phi, mem, param_loads);
+                    self.bind_args(g, args, phi);
+                    if self.analyzed[g.index()] {
+                        self.apply_summary(f, g, l, dsts, args, phi, mem, param_loads);
                     }
                 }
             }
-            Inst::Fork { entry: _, args, .. } => {
+            Inst::Fork { ref args, .. } => {
                 // Bind arguments into the thread entry (value flows into
                 // the child), but apply no summary: interference is
                 // Alg. 2's job (Alg. 1 lines 23–24).
                 for &g in self.cg.targets(l) {
-                    self.bind_args(g, &args, phi);
+                    self.bind_args(g, args, phi);
                 }
             }
             Inst::Free { ptr } | Inst::Deref { ptr } | Inst::TaintSink { src: ptr } => {
@@ -722,11 +565,11 @@ impl TaskCtx<'_> {
                     }
                 }
             }
-            Inst::Return { vals } => {
-                for &v in &vals {
+            Inst::Return { ref vals } => {
+                for &v in vals {
                     self.def_node(v);
                 }
-                returns.push((l, phi, vals));
+                returns.push((l, phi, vals.clone()));
             }
             Inst::Join { .. }
             | Inst::Lock { .. }
@@ -752,7 +595,7 @@ impl TaskCtx<'_> {
 
     /// Direct argument→parameter value-flow edges for a call or fork.
     fn bind_args(&mut self, callee: FuncId, args: &[VarId], phi: TermId) {
-        let params = self.prog.func(callee).params.clone();
+        let params = &self.prog.func(callee).params;
         for (i, &a) in args.iter().enumerate() {
             let Some(&p) = params.get(i) else { continue };
             let (Some(an), Some(pn)) = (self.def_node(a), self.def_node(p)) else {
@@ -776,7 +619,10 @@ impl TaskCtx<'_> {
         mem: &mut Mem,
         caller_param_loads: &mut Vec<ParamLoad>,
     ) {
-        let summary = self.summary_of(callee);
+        // Moved out while it is applied, since applying needs `self`
+        // mutably; a function is analyzed, and so has a summary, only
+        // after its own call sites.
+        let summary = std::mem::take(&mut self.summaries[callee.index()]);
         // 1. Returns: value flow + substituted points-to. The edge
         // leaves the returned variable's *definition* node so the flow
         // chain from its producers stays connected.
@@ -828,7 +674,7 @@ impl TaskCtx<'_> {
                         let g = self.pool.and2(base, sg);
                         let cell = mem.entry(rkey).or_default();
                         insert_guarded(
-                            &mut self.pool,
+                            self.pool,
                             cell,
                             g,
                             MemVal {
@@ -852,10 +698,10 @@ impl TaskCtx<'_> {
                 let base = self.pool.and2(base2, pl.guard);
                 match s {
                     Sym::Obj(o) => {
-                        let Some(cells) = mem.get(&MemKey::Obj(o)).cloned() else {
+                        let Some(cells) = mem.get(&MemKey::Obj(o)) else {
                             continue;
                         };
-                        for Guarded { guard: delta, value: val } in cells {
+                        for &Guarded { guard: delta, value: val } in cells {
                             let Some((sl, sv)) = val.origin else { continue };
                             let g = self.pool.and2(base, delta);
                             if g == self.pool.ff() {
@@ -880,6 +726,7 @@ impl TaskCtx<'_> {
                 }
             }
         }
+        self.summaries[callee.index()] = summary;
     }
 
     /// Substitutes a callee-relative symbol into the caller's context.
@@ -922,7 +769,7 @@ impl TaskCtx<'_> {
 
 /// Merges `src` memory into `dst` (guarded union). Key-ordered
 /// iteration keeps the term-creation order canonical.
-fn merge_mem<B: TermBuild>(pool: &mut B, dst: &mut Mem, src: &Mem) {
+fn merge_mem(pool: &mut TermPool, dst: &mut Mem, src: &Mem) {
     for (k, cells) in src {
         let d = dst.entry(*k).or_default();
         for c in cells {

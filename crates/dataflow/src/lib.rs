@@ -40,7 +40,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analysis;
-pub mod exec;
 pub mod locks;
 pub mod pathcond;
 pub mod symbols;

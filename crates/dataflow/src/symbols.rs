@@ -8,7 +8,7 @@
 //! applying the procedural transfer function.
 
 use canary_ir::{Label, ObjId, VarId};
-use canary_smt::TermId;
+use canary_smt::{TermId, TermPool};
 
 /// A symbolic pointer value.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -71,11 +71,8 @@ pub type PtsSet = Vec<Guarded<Sym>>;
 pub type CellSet = Vec<Guarded<MemVal>>;
 
 /// Inserts an entry, or-ing guards for duplicates of the same value.
-///
-/// Generic over [`canary_smt::TermBuild`] so dataflow tasks can merge
-/// into per-worker scratch pools as well as the canonical pool.
-pub fn insert_guarded<T: PartialEq + Copy, B: canary_smt::TermBuild>(
-    pool: &mut B,
+pub fn insert_guarded<T: PartialEq + Copy>(
+    pool: &mut TermPool,
     set: &mut Vec<Guarded<T>>,
     guard: TermId,
     value: T,
@@ -93,7 +90,6 @@ pub fn insert_guarded<T: PartialEq + Copy, B: canary_smt::TermBuild>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use canary_smt::TermPool;
 
     #[test]
     fn insert_merges_duplicates_by_or() {

@@ -121,52 +121,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_run_is_byte_identical_to_serial(spec in spec_strategy()) {
-        // The determinism contract of `run_with`: worker count must not
-        // change a single term id, VFG node/edge, points-to entry, or
-        // summary — threads only shorten wall time.
-        let w = generate(&spec);
-        let cg = CallGraph::build(&w.prog);
-        let mut pool1 = TermPool::new();
-        let serial = canary_dataflow::run_with(&w.prog, &cg, &mut pool1, 1);
-        for threads in [2usize, 8] {
-            let mut pooln = TermPool::new();
-            let par = canary_dataflow::run_with(&w.prog, &cg, &mut pooln, threads);
-            prop_assert_eq!(pool1.len(), pooln.len(), "term pools diverged at {} threads", threads);
-            prop_assert_eq!(serial.vfg.edges(), par.vfg.edges());
-            prop_assert_eq!(serial.vfg.node_count(), par.vfg.node_count());
-            for n in serial.vfg.node_ids() {
-                prop_assert_eq!(serial.vfg.kind(n), par.vfg.kind(n));
-            }
-            prop_assert_eq!(&serial.pgtop, &par.pgtop);
-            prop_assert_eq!(serial.stores.len(), par.stores.len());
-            for (a, b) in serial.stores.iter().zip(&par.stores) {
-                prop_assert!(a.label == b.label && a.addr == b.addr && a.src == b.src && a.guard == b.guard);
-            }
-            prop_assert_eq!(serial.loads.len(), par.loads.len());
-            for (a, b) in serial.loads.iter().zip(&par.loads) {
-                prop_assert!(a.label == b.label && a.addr == b.addr && a.dst == b.dst && a.guard == b.guard);
-            }
-            prop_assert_eq!(serial.summaries.len(), par.summaries.len());
-            for (a, b) in serial.summaries.iter().zip(&par.summaries) {
-                prop_assert_eq!(&a.exit_mem, &b.exit_mem);
-                prop_assert_eq!(a.returns.len(), b.returns.len());
-                for (ra, rb) in a.returns.iter().zip(&b.returns) {
-                    prop_assert!(ra.0 == rb.0 && ra.1 == rb.1 && ra.2 == rb.2);
-                }
-                prop_assert_eq!(a.param_loads.len(), b.param_loads.len());
-                for (pa, pb) in a.param_loads.iter().zip(&b.param_loads) {
-                    prop_assert!(
-                        pa.param == pb.param && pa.dst == pb.dst
-                            && pa.label == pb.label && pa.guard == pb.guard
-                    );
-                }
-            }
-            prop_assert_eq!(serial.tasks, par.tasks);
-        }
-    }
-
-    #[test]
     fn path_conditions_of_reachable_code_are_satisfiable(spec in spec_strategy()) {
         let w = generate(&spec);
         let cg = CallGraph::build(&w.prog);

@@ -23,25 +23,23 @@
 //! benches; with it off, impossible pairs still die at SMT time via the
 //! order constraints, exactly as the paper describes.
 //!
-//! # Parallel execution
+//! # Order
 //!
-//! The two heavy parts of an edge round shard across workers — the
-//! `Pted(o)` reachability sweeps (one task per escaped object) and the
-//! store/load candidate checks (one task per load). Workers build
-//! guards in per-task [`canary_smt::ScratchPool`]s against the frozen
-//! round-start pool and emit pending edges; the coordinator commits
-//! both in a fixed order (escape order for `Pted`, load order for
-//! edges), so the VFG, the term pool, and every report are
-//! byte-identical for any [`InterferenceOptions::threads`] value.
+//! Each edge round builds the `Pted(o)` sets in escape order, then
+//! checks every load, in load order, against the VFG as it stood at the
+//! start of the round, and only then adds the edges the checks decided
+//! on, again in load order. Guards are interned straight into the
+//! run's [`TermPool`] as they are built, so these orders fix every term
+//! id and edge number.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 use std::collections::{HashMap, HashSet};
 
-use canary_dataflow::{exec, DataflowResult, LoadSite, LockModel, StoreSite};
+use canary_dataflow::{DataflowResult, LoadSite, LockModel, StoreSite};
 use canary_ir::{Inst, Label, MhpAnalysis, ObjId, Program, ThreadStructure, VarId};
-use canary_smt::{ScratchPool, TermBuild, TermId, TermPool};
+use canary_smt::{TermId, TermPool};
 use canary_trace::{Tracer, LANE_ALG2};
 use canary_vfg::{EdgeKind, NodeId, NodeKind, Vfg};
 
@@ -55,8 +53,8 @@ pub struct InterferenceOptions {
     /// Cap on fixpoint rounds (a safety valve; the analysis is
     /// monotone and converges long before this).
     pub max_rounds: usize,
-    /// Worker threads for the sharded phases of each edge round.
-    /// Output is identical for every value; `1` runs inline.
+    /// Ignored: Alg. 2 runs on the calling thread. Kept for callers
+    /// written against the field.
     pub threads: usize,
     /// Lock-based sharpening: discharge store/load pairs whose
     /// critical sections guard a common mutex class when a definite
@@ -96,16 +94,16 @@ pub struct InterferenceResult {
     /// Store/load pairs additionally discharged by lock-based
     /// mutual-exclusion sharpening.
     pub mhp_lock_pruned: usize,
-    /// Sharded work items executed across all rounds (`Pted` sweeps
-    /// plus per-load candidate scans) — the unit the per-phase metrics
+    /// Work items executed across all rounds (`Pted` sweeps plus
+    /// per-load candidate scans) — the unit the per-phase metrics
     /// report.
     pub tasks: usize,
     /// One record per store/load pair the analysis discharged without
     /// ever adding an edge, with the facts consulted — the audit
     /// layer's interference certificates. Deduped across rounds and
     /// objects (first reason wins), pairs that later gained an edge
-    /// removed, sorted by `(store, load)` — deterministic for any
-    /// worker count. The `mhp_pruned` / `mhp_lock_pruned` counters
+    /// removed, sorted by `(store, load)`. The `mhp_pruned` /
+    /// `mhp_lock_pruned` counters
     /// keep their per-object-per-round multiplicity semantics.
     pub pruned_pairs: Vec<PrunedPair>,
 }
@@ -224,8 +222,8 @@ struct InterferenceAnalysis<'p> {
     edged: HashSet<(Label, Label)>,
 }
 
-/// An edge decision made by a sharded pair check, in scratch-relative
-/// term ids, to be materialized at commit time.
+/// An edge a load check decided on, added once every load of the
+/// round has been checked.
 struct PendingEdge {
     kind: EdgeKind,
     src_var: VarId,
@@ -376,42 +374,24 @@ impl InterferenceAnalysis<'_> {
     }
 
     /// One interference-edge discovery pass (Alg. 2 lines 2–10).
-    ///
-    /// Sharded in two waves: the `Pted(o)` sweeps (one task per escaped
-    /// object) and the candidate pair checks (one task per load). Both
-    /// run against the frozen round-start pool/VFG and commit in a
-    /// fixed order, so the round is deterministic for any worker count.
     fn edge_round(&mut self, df: &mut DataflowResult) -> bool {
-        let threads = self.opts.threads;
         // Pted(o) for every escaped object: nodes reachable from o with
         // aggregated guards (Alg. 2 lines 19–23). Kept in escape order —
         // the iteration order downstream decides term creation order.
         let obj_node = df.vfg.first_obj_nodes(self.prog.objs.len());
-        let obj_nodes: Vec<(ObjId, Option<NodeId>)> = self
-            .escaped
-            .iter()
-            .map(|&o| (o, obj_node[o.index()]))
-            .collect();
-        self.tasks += obj_nodes.len();
+        self.tasks += self.escaped.len();
         let pted = {
-            let frozen: &TermPool = self.pool;
-            let vfg = &df.vfg;
-            let outs = exec::run_indexed(obj_nodes.len(), threads, |i| {
-                let (_, on) = obj_nodes[i];
-                let on = on?;
-                let mut sp = ScratchPool::new(frozen);
-                let tt = sp.tt();
-                let reach = vfg.reachable_with_guards(&mut sp, on, tt);
-                Some((reach, sp.into_log()))
-            });
             let mut objs = Vec::new();
             let mut entries = Vec::new();
-            for (i, out) in outs.into_iter().enumerate() {
-                let Some((reach, log)) = out else { continue };
-                let remap = log.commit(self.pool);
+            for &o in &self.escaped {
+                let Some(on) = obj_node[o.index()] else {
+                    continue;
+                };
+                let tt = self.pool.tt();
+                let reach = df.vfg.reachable_with_guards(self.pool, on, tt);
                 let oi = objs.len() as u32;
-                objs.push(obj_nodes[i].0);
-                entries.extend(reach.into_iter().map(|(n, g)| (n, oi, remap.remap(g))));
+                objs.push(o);
+                entries.extend(reach.into_iter().map(|(n, g)| (n, oi, g)));
             }
             entries.sort_unstable_by_key(|&(n, oi, _)| (n, oi));
             PtedIndex { objs, entries }
@@ -437,38 +417,30 @@ impl InterferenceAnalysis<'_> {
             .lock_sharpen
             .then(|| LockModel::build(self.prog, self.mhp.order_graph(), df));
 
-        // Candidate pair checks, one task per load. Tasks see frozen
-        // state and only *propose* edges; the commit below materializes
-        // them in load order, which reproduces the serial pool exactly.
+        // Candidate pair checks, one per load, all against the
+        // round-start VFG; the edges they decide on go in afterwards.
         self.tasks += df.loads.len();
-        let outs = {
-            let frozen: &TermPool = self.pool;
-            let prog = self.prog;
-            let ts = self.ts;
-            let mhp = self.mhp;
-            let use_mhp = self.opts.use_mhp;
-            let dff: &DataflowResult = df;
-            let pted = &pted;
-            let stores_on_obj = &stores_on_obj;
-            let locks = lockm.as_ref();
-            exec::run_indexed(dff.loads.len(), threads, |li| {
+        let checks: Vec<LoadCheck> = df
+            .loads
+            .iter()
+            .map(|load| {
                 check_load(
-                    prog,
-                    ts,
-                    mhp,
-                    use_mhp,
-                    dff,
-                    frozen,
-                    pted,
-                    stores_on_obj,
-                    locks,
-                    &dff.loads[li],
+                    self.prog,
+                    self.ts,
+                    self.mhp,
+                    self.opts.use_mhp,
+                    df,
+                    self.pool,
+                    &pted,
+                    &stores_on_obj,
+                    lockm.as_ref(),
+                    load,
                 )
             })
-        };
+            .collect();
 
         let mut changed = false;
-        for check in outs {
+        for check in checks {
             self.mhp_pruned += check.pruned;
             self.mhp_lock_pruned += check.lock_pruned;
             for rec in check.records {
@@ -477,10 +449,7 @@ impl InterferenceAnalysis<'_> {
                     self.pruned_pairs.entry(key).or_insert(rec);
                 }
             }
-            let Some(log) = check.log else { continue };
-            let remap = log.commit(self.pool);
             for e in check.edges {
-                let guard = remap.remap(e.guard);
                 let sn = df.vfg.def_node(e.src_var, e.src_label);
                 let ln = df.vfg.def_node(e.dst_var, e.dst_label);
                 // The pair flows (even if the edge already existed):
@@ -489,7 +458,7 @@ impl InterferenceAnalysis<'_> {
                 let key = (e.src_label, e.dst_label);
                 self.edged.insert(key);
                 self.pruned_pairs.remove(&key);
-                if df.vfg.add_edge_licensed(sn, ln, e.kind, guard, e.license) {
+                if df.vfg.add_edge_licensed(sn, ln, e.kind, e.guard, e.license) {
                     match e.kind {
                         EdgeKind::Interference => self.interference_edges += 1,
                         _ => self.refreshed_data_edges += 1,
@@ -533,19 +502,17 @@ impl PtedIndex {
     }
 }
 
-/// One sharded load check's proposals: pending edges, the scratch log
-/// to commit, the prune counters (per-object multiplicity) and the
-/// audit prune records.
+/// One load check's outcome: the edges to add, the prune counters
+/// (per-object multiplicity) and the audit prune records.
 struct LoadCheck {
     edges: Vec<PendingEdge>,
-    log: Option<canary_smt::ScratchLog>,
     pruned: usize,
     lock_pruned: usize,
     records: Vec<PrunedPair>,
 }
 
 /// Checks every candidate store against one load (the body of Alg. 2
-/// lines 2–10 for a single `l`), building guards in a scratch pool.
+/// lines 2–10 for a single `l`), interning the edge guards in `pool`.
 #[allow(clippy::too_many_arguments)]
 fn check_load(
     prog: &Program,
@@ -553,7 +520,7 @@ fn check_load(
     mhp: &MhpAnalysis<'_>,
     use_mhp: bool,
     df: &DataflowResult,
-    frozen: &TermPool,
+    pool: &mut TermPool,
     pted: &PtedIndex,
     stores_on_obj: &[Vec<usize>],
     locks: Option<&LockModel>,
@@ -565,14 +532,12 @@ fn check_load(
     let Some(ya) = find_def_node(df, load.addr) else {
         return LoadCheck {
             edges: Vec::new(),
-            log: None,
             pruned: 0,
             lock_pruned: 0,
             records,
         };
     };
-    let mut sp = ScratchPool::new(frozen);
-    let tt = sp.tt();
+    let tt = pool.tt();
     let mut edges = Vec::new();
     let stores = &df.stores;
     for &(_, oi, beta) in pted.at(ya) {
@@ -641,7 +606,7 @@ fn check_load(
                         continue;
                     }
                 }
-                let guard = edge_guard(&mut sp, mhp, s, load, alpha, beta, candidates, stores);
+                let guard = edge_guard(pool, mhp, s, load, alpha, beta, candidates, stores);
                 edges.push(PendingEdge {
                     kind: EdgeKind::Interference,
                     src_var: s.src,
@@ -655,7 +620,7 @@ fn check_load(
                 // Alg. 2 line 9: refresh same-thread data dependence
                 // over escaped objects (covers flows the bottom-up
                 // summaries cannot see).
-                let guard = edge_guard(&mut sp, mhp, s, load, alpha, beta, candidates, stores);
+                let guard = edge_guard(pool, mhp, s, load, alpha, beta, candidates, stores);
                 edges.push(PendingEdge {
                     kind: EdgeKind::DataDep,
                     src_var: s.src,
@@ -670,7 +635,6 @@ fn check_load(
     }
     LoadCheck {
         edges,
-        log: Some(sp.into_log()),
         pruned,
         lock_pruned,
         records,
@@ -744,8 +708,8 @@ fn lock_excluded(
 
 /// `Φ_guard = Φ_alias ∧ Φ_ls` (Eq. 1–2).
 #[allow(clippy::too_many_arguments)]
-fn edge_guard<B: TermBuild>(
-    pool: &mut B,
+fn edge_guard(
+    pool: &mut TermPool,
     mhp: &MhpAnalysis<'_>,
     s: &StoreSite,
     l: &LoadSite,
@@ -806,7 +770,7 @@ fn find_def_node(df: &DataflowResult, v: VarId) -> Option<NodeId> {
 const MAX_COMPETING_STORES: usize = 24;
 
 /// The strict-order atom `O_a < O_b` over statement labels.
-fn order_atom<B: TermBuild>(pool: &mut B, a: Label, b: Label) -> TermId {
+fn order_atom(pool: &mut TermPool, a: Label, b: Label) -> TermId {
     pool.order_lt(a.0, b.0)
 }
 

@@ -391,8 +391,7 @@ impl CallGraph {
         }
     }
 
-    /// Groups functions into schedulable bottom-up levels for the
-    /// level-parallel Alg. 1 front-end.
+    /// Groups functions into the bottom-up levels Alg. 1 walks.
     ///
     /// Functions are condensed into strongly connected components over
     /// the direct-call edges (a recursion cycle is one unit of work,
@@ -409,8 +408,8 @@ impl CallGraph {
     /// (callees first), tasks within a level ordered by the earliest
     /// [`CallGraph::bottom_up`] position of their members, members in
     /// `bottom_up` order. Every piece of the schedule is a pure
-    /// function of the graph, which is what makes the parallel
-    /// pipeline's commit order — and therefore its output —
+    /// function of the graph, which is what makes the order Alg. 1
+    /// interns terms and VFG nodes in — and therefore its output —
     /// deterministic.
     pub fn bottom_up_levels(&self) -> Vec<Vec<Vec<FuncId>>> {
         let n = self.calls.len();

@@ -45,7 +45,6 @@
 pub mod cnf;
 pub mod core;
 pub mod sat;
-pub mod scratch;
 pub mod simplify;
 pub mod solver;
 pub mod term;
@@ -60,6 +59,5 @@ pub use solver::{
     check_witness_model, GroupedOutcome, QueryCache, QueryOutcome, QueryStats, SmtResult,
     SolverOptions, SolverStats, SolverStrategy, WitnessModel,
 };
-pub use scratch::{ScratchLog, ScratchPool, TermRemap};
-pub use term::{AtomSet, EventId, Node, TermBuild, TermId, TermPool};
+pub use term::{AtomSet, EventId, Node, TermId, TermPool};
 pub use theory::{check_orders, orders_consistent, OrderEdge, TheoryResult};

@@ -136,6 +136,11 @@ impl TermPool {
         &self.nodes[t.index()]
     }
 
+    /// Interns a structurally canonical node, returning the existing id
+    /// when the node is already present. Everything else goes through
+    /// the simplifying constructors: interning a non-canonical node (an
+    /// unsorted `And`, a `Not(Not(_))`, …) would break hash-consed
+    /// equality.
     fn intern(&mut self, n: Node) -> TermId {
         if let Some(&id) = self.dedup.get(&n) {
             return id;
@@ -146,49 +151,153 @@ impl TermPool {
         id
     }
 
-    /// Looks up an already-interned node without inserting.
-    pub(crate) fn lookup(&self, n: &Node) -> Option<TermId> {
-        self.dedup.get(n).copied()
-    }
-
     /// A Boolean (branch) atom.
     pub fn bool_atom(&mut self, idx: u32) -> TermId {
-        TermBuild::bool_atom(self, idx)
+        self.intern(Node::BoolAtom(idx))
     }
 
-    /// The strict order `O_a < O_b`; see [`TermBuild::order_lt`].
+    /// The strict order `O_a < O_b`. Returns `false` when `a == b`
+    /// (an event never precedes itself); reversed pairs are normalized
+    /// to the negation of the flipped atom, so `order_lt(b, a)` and
+    /// `not(order_lt(a, b))` are the same term — total order over
+    /// distinct events, as sequential consistency prescribes (§3.1).
     pub fn order_lt(&mut self, a: EventId, b: EventId) -> TermId {
-        TermBuild::order_lt(self, a, b)
+        use std::cmp::Ordering;
+        match a.cmp(&b) {
+            Ordering::Equal => self.ff(),
+            Ordering::Less => self.intern(Node::Order(a, b)),
+            Ordering::Greater => {
+                let base = self.intern(Node::Order(b, a));
+                self.not(base)
+            }
+        }
     }
 
     /// Logical negation with double-negation and constant elimination.
     pub fn not(&mut self, t: TermId) -> TermId {
-        TermBuild::not(self, t)
+        match self.node(t) {
+            Node::True => self.ff(),
+            Node::False => self.tt(),
+            Node::Not(inner) => *inner,
+            _ => self.intern(Node::Not(t)),
+        }
     }
 
-    /// N-ary conjunction; see [`TermBuild::and`].
+    /// N-ary conjunction: flattens nested `And`s, folds constants,
+    /// deduplicates, and detects complementary literal pairs.
     pub fn and(&mut self, ts: impl IntoIterator<Item = TermId>) -> TermId {
-        TermBuild::and(self, ts)
+        let mut parts: Vec<TermId> = Vec::new();
+        let mut stack: Vec<TermId> = ts.into_iter().collect();
+        stack.reverse();
+        while let Some(t) = stack.pop() {
+            match self.node(t) {
+                Node::True => {}
+                Node::False => return self.ff(),
+                Node::And(inner) => {
+                    let mut inner = inner.clone();
+                    inner.reverse();
+                    stack.extend(inner);
+                }
+                _ => parts.push(t),
+            }
+        }
+        parts.sort_unstable();
+        parts.dedup();
+        // Complement detection: x ∧ ¬x ⇒ false.
+        for &p in &parts {
+            let np = self.not(p);
+            if parts.binary_search(&np).is_ok() {
+                return self.ff();
+            }
+        }
+        match parts.len() {
+            0 => self.tt(),
+            1 => parts[0],
+            _ => self.intern(Node::And(parts)),
+        }
     }
 
     /// Binary conjunction convenience.
     pub fn and2(&mut self, a: TermId, b: TermId) -> TermId {
-        TermBuild::and2(self, a, b)
+        self.and([a, b])
     }
 
-    /// N-ary disjunction; see [`TermBuild::or`].
+    /// N-ary disjunction: dual of [`TermPool::and`].
     pub fn or(&mut self, ts: impl IntoIterator<Item = TermId>) -> TermId {
-        TermBuild::or(self, ts)
+        let mut parts: Vec<TermId> = Vec::new();
+        let mut stack: Vec<TermId> = ts.into_iter().collect();
+        stack.reverse();
+        while let Some(t) = stack.pop() {
+            match self.node(t) {
+                Node::False => {}
+                Node::True => return self.tt(),
+                Node::Or(inner) => {
+                    let mut inner = inner.clone();
+                    inner.reverse();
+                    stack.extend(inner);
+                }
+                _ => parts.push(t),
+            }
+        }
+        parts.sort_unstable();
+        parts.dedup();
+        for &p in &parts {
+            let np = self.not(p);
+            if parts.binary_search(&np).is_ok() {
+                return self.tt();
+            }
+        }
+        // Absorption: x ∨ (x ∧ y) = x. Path-condition merges at CFG
+        // joins produce this shape constantly; dropping the absorbed
+        // conjunction keeps guards from growing along straight-line code.
+        if parts.len() > 1 {
+            let plain: Vec<TermId> = parts
+                .iter()
+                .copied()
+                .filter(|&p| !matches!(self.node(p), Node::And(_)))
+                .collect();
+            if !plain.is_empty() {
+                parts.retain(|&p| match self.node(p) {
+                    Node::And(conj) => !conj.iter().any(|c| plain.contains(c)),
+                    _ => true,
+                });
+            }
+        }
+        // Branch-join factoring: (x ∧ a) ∨ (x ∧ ¬a) = x — the exact
+        // shape a two-armed `if` produces at its join block. Without
+        // this rewrite guards grow linearly in the number of preceding
+        // branches and every conjunction over them turns quadratic.
+        if parts.len() == 2 {
+            if let (Node::And(xs), Node::And(ys)) =
+                (self.node(parts[0]).clone(), self.node(parts[1]).clone())
+            {
+                let common: Vec<TermId> =
+                    xs.iter().copied().filter(|x| ys.contains(x)).collect();
+                let dx: Vec<TermId> =
+                    xs.iter().copied().filter(|x| !common.contains(x)).collect();
+                let dy: Vec<TermId> =
+                    ys.iter().copied().filter(|y| !common.contains(y)).collect();
+                if dx.len() == 1 && dy.len() == 1 && self.not(dx[0]) == dy[0] {
+                    return self.and(common);
+                }
+            }
+        }
+        match parts.len() {
+            0 => self.ff(),
+            1 => parts[0],
+            _ => self.intern(Node::Or(parts)),
+        }
     }
 
     /// Binary disjunction convenience.
     pub fn or2(&mut self, a: TermId, b: TermId) -> TermId {
-        TermBuild::or2(self, a, b)
+        self.or([a, b])
     }
 
     /// `a → b` as `¬a ∨ b`.
     pub fn implies(&mut self, a: TermId, b: TermId) -> TermId {
-        TermBuild::implies(self, a, b)
+        let na = self.not(a);
+        self.or2(na, b)
     }
 
     /// The top-level conjuncts of `t` as a sorted, deduplicated set of
@@ -272,230 +381,6 @@ impl TermPool {
                 format!("({})", parts.join(" | "))
             }
         }
-    }
-}
-
-/// Term construction over any term store.
-///
-/// The simplifying constructors (constant folding, flattening,
-/// complement detection, absorption, branch-join factoring) are written
-/// once here as default methods; a store only supplies three
-/// primitives. Two stores implement it:
-///
-/// * [`TermPool`] — the canonical interning pool;
-/// * [`crate::ScratchPool`] — a thread-local overlay over a frozen
-///   pool, used by the parallel analysis front-end. Workers build terms
-///   through this trait and the overlays are replayed into the base
-///   pool afterwards in a deterministic order.
-///
-/// Ids `TermId(0)`/`TermId(1)` are the constants in every store, so the
-/// `tt`/`ff` defaults hold universally.
-pub trait TermBuild {
-    /// Number of terms visible through this store (base + local for
-    /// overlays). The next fresh id is `TermId(term_count())`.
-    fn term_count(&self) -> usize;
-
-    /// The node behind a term id.
-    fn node(&self, t: TermId) -> &Node;
-
-    /// Interns a structurally canonical node, returning the existing id
-    /// when the node is already present.
-    ///
-    /// Callers outside this module must go through the simplifying
-    /// constructors instead: interning a non-canonical node (an
-    /// unsorted `And`, a `Not(Not(_))`, …) silently breaks hash-consed
-    /// equality.
-    #[doc(hidden)]
-    fn intern_node(&mut self, n: Node) -> TermId;
-
-    /// The constant `true`.
-    #[inline]
-    fn tt(&self) -> TermId {
-        TermId(0)
-    }
-
-    /// The constant `false`.
-    #[inline]
-    fn ff(&self) -> TermId {
-        TermId(1)
-    }
-
-    /// A Boolean (branch) atom.
-    fn bool_atom(&mut self, idx: u32) -> TermId {
-        self.intern_node(Node::BoolAtom(idx))
-    }
-
-    /// The strict order `O_a < O_b`. Returns `false` when `a == b`
-    /// (an event never precedes itself); reversed pairs are normalized
-    /// to the negation of the flipped atom, so `order_lt(b, a)` and
-    /// `not(order_lt(a, b))` are the same term — total order over
-    /// distinct events, as sequential consistency prescribes (§3.1).
-    fn order_lt(&mut self, a: EventId, b: EventId) -> TermId {
-        use std::cmp::Ordering;
-        match a.cmp(&b) {
-            Ordering::Equal => self.ff(),
-            Ordering::Less => self.intern_node(Node::Order(a, b)),
-            Ordering::Greater => {
-                let base = self.intern_node(Node::Order(b, a));
-                self.not(base)
-            }
-        }
-    }
-
-    /// Logical negation with double-negation and constant elimination.
-    fn not(&mut self, t: TermId) -> TermId {
-        match self.node(t) {
-            Node::True => self.ff(),
-            Node::False => self.tt(),
-            Node::Not(inner) => *inner,
-            _ => self.intern_node(Node::Not(t)),
-        }
-    }
-
-    /// N-ary conjunction: flattens nested `And`s, folds constants,
-    /// deduplicates, and detects complementary literal pairs.
-    fn and(&mut self, ts: impl IntoIterator<Item = TermId>) -> TermId
-    where
-        Self: Sized,
-    {
-        let mut parts: Vec<TermId> = Vec::new();
-        let mut stack: Vec<TermId> = ts.into_iter().collect();
-        stack.reverse();
-        while let Some(t) = stack.pop() {
-            match self.node(t) {
-                Node::True => {}
-                Node::False => return self.ff(),
-                Node::And(inner) => {
-                    let mut inner = inner.clone();
-                    inner.reverse();
-                    stack.extend(inner);
-                }
-                _ => parts.push(t),
-            }
-        }
-        parts.sort_unstable();
-        parts.dedup();
-        // Complement detection: x ∧ ¬x ⇒ false.
-        for &p in &parts {
-            let np = self.not(p);
-            if parts.binary_search(&np).is_ok() {
-                return self.ff();
-            }
-        }
-        match parts.len() {
-            0 => self.tt(),
-            1 => parts[0],
-            _ => self.intern_node(Node::And(parts)),
-        }
-    }
-
-    /// Binary conjunction convenience.
-    fn and2(&mut self, a: TermId, b: TermId) -> TermId
-    where
-        Self: Sized,
-    {
-        self.and([a, b])
-    }
-
-    /// N-ary disjunction: dual of [`TermBuild::and`].
-    fn or(&mut self, ts: impl IntoIterator<Item = TermId>) -> TermId
-    where
-        Self: Sized,
-    {
-        let mut parts: Vec<TermId> = Vec::new();
-        let mut stack: Vec<TermId> = ts.into_iter().collect();
-        stack.reverse();
-        while let Some(t) = stack.pop() {
-            match self.node(t) {
-                Node::False => {}
-                Node::True => return self.tt(),
-                Node::Or(inner) => {
-                    let mut inner = inner.clone();
-                    inner.reverse();
-                    stack.extend(inner);
-                }
-                _ => parts.push(t),
-            }
-        }
-        parts.sort_unstable();
-        parts.dedup();
-        for &p in &parts {
-            let np = self.not(p);
-            if parts.binary_search(&np).is_ok() {
-                return self.tt();
-            }
-        }
-        // Absorption: x ∨ (x ∧ y) = x. Path-condition merges at CFG
-        // joins produce this shape constantly; dropping the absorbed
-        // conjunction keeps guards from growing along straight-line code.
-        if parts.len() > 1 {
-            let plain: Vec<TermId> = parts
-                .iter()
-                .copied()
-                .filter(|&p| !matches!(self.node(p), Node::And(_)))
-                .collect();
-            if !plain.is_empty() {
-                parts.retain(|&p| match self.node(p) {
-                    Node::And(conj) => !conj.iter().any(|c| plain.contains(c)),
-                    _ => true,
-                });
-            }
-        }
-        // Branch-join factoring: (x ∧ a) ∨ (x ∧ ¬a) = x — the exact
-        // shape a two-armed `if` produces at its join block. Without
-        // this rewrite guards grow linearly in the number of preceding
-        // branches and every conjunction over them turns quadratic.
-        if parts.len() == 2 {
-            if let (Node::And(xs), Node::And(ys)) =
-                (self.node(parts[0]).clone(), self.node(parts[1]).clone())
-            {
-                let common: Vec<TermId> =
-                    xs.iter().copied().filter(|x| ys.contains(x)).collect();
-                let dx: Vec<TermId> =
-                    xs.iter().copied().filter(|x| !common.contains(x)).collect();
-                let dy: Vec<TermId> =
-                    ys.iter().copied().filter(|y| !common.contains(y)).collect();
-                if dx.len() == 1 && dy.len() == 1 && self.not(dx[0]) == dy[0] {
-                    return self.and(common);
-                }
-            }
-        }
-        match parts.len() {
-            0 => self.ff(),
-            1 => parts[0],
-            _ => self.intern_node(Node::Or(parts)),
-        }
-    }
-
-    /// Binary disjunction convenience.
-    fn or2(&mut self, a: TermId, b: TermId) -> TermId
-    where
-        Self: Sized,
-    {
-        self.or([a, b])
-    }
-
-    /// `a → b` as `¬a ∨ b`.
-    fn implies(&mut self, a: TermId, b: TermId) -> TermId
-    where
-        Self: Sized,
-    {
-        let na = self.not(a);
-        self.or2(na, b)
-    }
-}
-
-impl TermBuild for TermPool {
-    fn term_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn node(&self, t: TermId) -> &Node {
-        &self.nodes[t.index()]
-    }
-
-    fn intern_node(&mut self, n: Node) -> TermId {
-        self.intern(n)
     }
 }
 

@@ -12,9 +12,8 @@
 //!   immediately, no allocation, no clock read) or *enabled*, holding a
 //!   shared [`Collector`].
 //! * The collector is **lock-free**: finished spans are pushed onto a
-//!   Treiber stack (one `Box` + one CAS loop per span), so it is safe
-//!   under the scratch-overlay parallel front-end where spans close on
-//!   arbitrary worker threads in arbitrary order.
+//!   Treiber stack (one `Box` + one CAS loop per span), so spans may
+//!   close on any thread in any order.
 //! * Export is **deterministically ordered**: events are sorted by
 //!   `(lane, category, key, name)` — all logical, caller-supplied
 //!   values — never by wall-clock time. Two runs of the deterministic

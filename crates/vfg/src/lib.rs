@@ -22,11 +22,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use canary_ir::{Label, ObjId, Program, VarId};
-use canary_smt::{TermBuild, TermId};
-
-mod scratch;
-
-pub use scratch::{VfgLog, VfgScratch};
+use canary_smt::{TermId, TermPool};
 
 /// A node handle in the VFG.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -151,11 +147,6 @@ impl Vfg {
         self.dedup.get(&kind).copied()
     }
 
-    /// Whether an edge `(from, to, kind)` is already present.
-    pub fn has_edge(&self, from: NodeId, to: NodeId, kind: EdgeKind) -> bool {
-        self.edge_dedup.contains_key(&(from, to, kind))
-    }
-
     /// Adds a guarded edge; returns `true` if it is new.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, kind: EdgeKind, guard: TermId) -> bool {
         if self.edge_dedup.contains_key(&(from, to, kind)) {
@@ -268,13 +259,9 @@ impl Vfg {
     /// analysis of Alg. 2 (lines 19–23) records pointed-to-by guards.
     ///
     /// Returns `(node, aggregated guard)` pairs; `start` carries `base`.
-    ///
-    /// Generic over [`TermBuild`] so interference workers can aggregate
-    /// guards into thread-local [`canary_smt::ScratchPool`]s while the
-    /// canonical pool stays frozen.
-    pub fn reachable_with_guards<B: TermBuild>(
+    pub fn reachable_with_guards(
         &self,
-        pool: &mut B,
+        pool: &mut TermPool,
         start: NodeId,
         base: TermId,
     ) -> Vec<(NodeId, TermId)> {
