@@ -7,7 +7,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use canary_dataflow::{DataflowResult, LockModel};
-use canary_ir::{Inst, Label, MhpAnalysis, Program, ThreadStructure, VarId};
+use canary_ir::{Inst, Label, MhpAnalysis, Program, ThreadStructure, VarId, MAIN_THREAD};
 use canary_smt::{
     check_all_grouped, check_orders, EventId, Node, OrderEdge, QueryCache, SmtResult,
     SolverOptions, SolverStats, TermId, TermPool, TheoryResult,
@@ -633,6 +633,21 @@ fn validate(
             cand.report.guards = guards;
             cand.report.schedule = schedule;
         }
+        // The executing thread of each step SARIF renders, so exports
+        // need not rebuild the thread structure.
+        let ends = [cand.report.source, cand.report.sink];
+        let steps: &[Label] = if cand.report.schedule.is_empty() {
+            &ends
+        } else {
+            &cand.report.schedule
+        };
+        cand.report.step_threads = steps
+            .iter()
+            .map(|&l| {
+                let threads = ctx.ts.threads_of(ctx.prog, l);
+                threads.first().copied().unwrap_or(MAIN_THREAD)
+            })
+            .collect();
         // Only reports export the constraint, so only they render it.
         cand.report.constraint = pool.render(cand.query);
         out.push(cand.report);
@@ -960,6 +975,7 @@ fn double_lock_candidates(
                     inter_thread: false,
                     constraint: String::new(),
                     schedule: Vec::new(),
+                    step_threads: Vec::new(),
                     guards: Vec::new(),
                     provenance: Some(Provenance {
                         nodes,
@@ -1172,6 +1188,7 @@ fn conflict_lock_candidates(
                 inter_thread: true,
                 constraint: String::new(),
                 schedule: Vec::new(),
+                step_threads: Vec::new(),
                 guards: Vec::new(),
                 provenance: Some(Provenance {
                     nodes,
@@ -1269,6 +1286,7 @@ fn finish_candidate(
             inter_thread,
             constraint: String::new(),
             schedule: Vec::new(),
+            step_threads: Vec::new(),
             guards: Vec::new(),
             provenance: None,
         },

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use canary_ir::{CondId, Label, Program};
+use canary_ir::{CondId, Label, Program, ThreadId};
 
 use crate::provenance::{strip_position, Fingerprint, Fnv, Provenance};
 
@@ -65,6 +65,11 @@ pub struct BugReport {
     /// sites that must run for them to execute, in one total order
     /// (§2's debugging aid, executable by `canary-oracle`).
     pub schedule: Vec<Label>,
+    /// The executing static thread of each step a SARIF `threadFlow`
+    /// renders — the steps of [`BugReport::schedule`], or `[source,
+    /// sink]` when it is empty: the first thread that may run the
+    /// step's function, else [`canary_ir::MAIN_THREAD`].
+    pub step_threads: Vec<ThreadId>,
     /// The branch-atom valuation of the witnessing SMT model, as sorted
     /// `(cond, value)` pairs: the branch directions a concrete replay
     /// of [`BugReport::schedule`] must take. Atoms absent here were
@@ -191,6 +196,7 @@ mod tests {
             inter_thread: false,
             constraint: "true".into(),
             schedule: vec![prog.free_sites()[0], prog.deref_sites()[0]],
+            step_threads: Vec::new(),
             guards: Vec::new(),
             provenance: None,
         };
@@ -209,6 +215,7 @@ mod tests {
             inter_thread: false,
             constraint: "true".into(),
             schedule: vec![prog.free_sites()[0]; schedule_len],
+            step_threads: Vec::new(),
             guards: Vec::new(),
             provenance: None,
         }

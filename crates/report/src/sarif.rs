@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 
 use canary_detect::{BugKind, BugReport};
-use canary_ir::{render_inst, CallGraph, Inst, Label, Program, ThreadStructure, MAIN_THREAD};
+use canary_ir::{render_inst, Inst, Label, Program, MAIN_THREAD};
 use serde_json::{json, Value};
 
 /// The SARIF version emitted.
@@ -110,8 +110,6 @@ pub fn rule_id(kind: BugKind) -> String {
 /// `prog` must be the program the reports' labels refer to (the
 /// context-cloned program when context sensitivity rewrote it).
 pub fn sarif_document(prog: &Program, reports: &[BugReport], manifest: &RunManifest) -> Value {
-    let cg = CallGraph::build(prog);
-    let ts = ThreadStructure::compute(prog, &cg);
     let rules: Vec<Value> = RULES
         .iter()
         .map(|&(kind, name, desc)| {
@@ -131,7 +129,7 @@ pub fn sarif_document(prog: &Program, reports: &[BugReport], manifest: &RunManif
         .collect();
     let results: Vec<Value> = reports
         .iter()
-        .map(|r| result_of(prog, &ts, r, manifest))
+        .map(|r| result_of(prog, r, manifest))
         .collect();
     let config: BTreeMap<String, Value> = manifest
         .config
@@ -198,12 +196,7 @@ fn location_of(prog: &Program, file: &str, l: Label, text: &str) -> Value {
     })
 }
 
-fn result_of(
-    prog: &Program,
-    ts: &ThreadStructure,
-    r: &BugReport,
-    manifest: &RunManifest,
-) -> Value {
+fn result_of(prog: &Program, r: &BugReport, manifest: &RunManifest) -> Value {
     let fp = r.fingerprint(prog).to_string();
     let scope = if r.inter_thread {
         "inter-thread"
@@ -238,7 +231,7 @@ fn result_of(
             &format!("source: {}", render_inst(prog, r.source)),
         )],
         "partialFingerprints": Value::Object(fingerprints),
-        "codeFlows": [{ "threadFlows": thread_flows(prog, ts, r, manifest) }],
+        "codeFlows": [{ "threadFlows": thread_flows(prog, r, manifest) }],
         "properties": {
             "constraint": r.constraint,
             "interThread": r.inter_thread,
@@ -254,13 +247,10 @@ fn result_of(
 /// the executing thread's flow *and* in the forked/joined thread's
 /// flow, so a viewer stepping one thread sees where control handed
 /// over. `executionOrder` is the 1-based global schedule position, so
-/// the full interleaving is reconstructible across flows.
-fn thread_flows(
-    prog: &Program,
-    ts: &ThreadStructure,
-    r: &BugReport,
-    manifest: &RunManifest,
-) -> Vec<Value> {
+/// the full interleaving is reconstructible across flows. Each step's
+/// executing thread is the one the analysis recorded in
+/// [`BugReport::step_threads`].
+fn thread_flows(prog: &Program, r: &BugReport, manifest: &RunManifest) -> Vec<Value> {
     let schedule: Vec<Label> = if r.schedule.is_empty() {
         vec![r.source, r.sink]
     } else {
@@ -280,12 +270,7 @@ fn thread_flows(
         }));
     };
     for (i, &l) in schedule.iter().enumerate() {
-        let exec = ts
-            .threads_of(prog, l)
-            .first()
-            .copied()
-            .unwrap_or(MAIN_THREAD)
-            .0;
+        let exec = r.step_threads.get(i).copied().unwrap_or(MAIN_THREAD).0;
         let stmt = format!("{l}: {}", render_inst(prog, l));
         match prog.inst(l) {
             Inst::Fork { thread, .. } => {
@@ -345,7 +330,7 @@ mod tests {
     use super::*;
 
     fn analyze(src: &str) -> (Program, Vec<BugReport>) {
-        use canary_ir::MhpAnalysis;
+        use canary_ir::{CallGraph, MhpAnalysis, ThreadStructure};
         let prog: Program = canary_ir::parse(src).unwrap();
         prog.validate().unwrap();
         let cg = CallGraph::build(&prog);
