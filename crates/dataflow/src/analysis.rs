@@ -372,7 +372,7 @@ impl Alg1<'_> {
             let mut mem = block_in.remove(&blk.0).unwrap_or_default();
             for &l in &func.block(blk).stmts {
                 visit.stmts += 1;
-                self.transfer(f, l, &mut mem, &mut returns, &mut param_loads);
+                self.transfer(l, &mut mem, &mut returns, &mut param_loads);
             }
             match &func.block(blk).term {
                 Terminator::Exit => {
@@ -404,7 +404,6 @@ impl Alg1<'_> {
     #[allow(clippy::too_many_lines)]
     fn transfer(
         &mut self,
-        f: FuncId,
         l: Label,
         mem: &mut Mem,
         returns: &mut Vec<(Label, TermId, Vec<VarId>)>,
@@ -545,7 +544,7 @@ impl Alg1<'_> {
                 for &g in self.cg.targets(l) {
                     self.bind_args(g, args, phi);
                     if self.analyzed[g.index()] {
-                        self.apply_summary(f, g, l, dsts, args, phi, mem, param_loads);
+                        self.apply_summary(g, l, dsts, args, phi, mem, param_loads);
                     }
                 }
             }
@@ -610,7 +609,6 @@ impl Alg1<'_> {
     #[allow(clippy::too_many_arguments)]
     fn apply_summary(
         &mut self,
-        caller: FuncId,
         callee: FuncId,
         call_label: Label,
         dsts: &[VarId],
@@ -626,12 +624,11 @@ impl Alg1<'_> {
         // 1. Returns: value flow + substituted points-to. The edge
         // leaves the returned variable's *definition* node so the flow
         // chain from its producers stays connected.
-        for (rl, rguard, vals) in &summary.returns {
+        for (_, rguard, vals) in &summary.returns {
             for (k, &dst) in dsts.iter().enumerate() {
                 let Some(&rv) = vals.get(k) else { continue };
                 let g = self.pool.and2(phi, *rguard);
                 let Some(rn) = self.def_node(rv) else { continue };
-                let _ = rl;
                 let dn = self.vfg.def_node(dst, call_label);
                 self.vfg.add_edge(rn, dn, EdgeKind::Direct, g);
                 let rpts = self.pg(rv);
@@ -720,7 +717,6 @@ impl Alg1<'_> {
                             label: pl.label,
                             guard: base,
                         });
-                        let _ = caller;
                     }
                     _ => {}
                 }

@@ -103,8 +103,8 @@ pub struct InterferenceResult {
     /// layer's interference certificates. Deduped across rounds and
     /// objects (first reason wins), pairs that later gained an edge
     /// removed, sorted by `(store, load)`. The `mhp_pruned` /
-    /// `mhp_lock_pruned` counters
-    /// keep their per-object-per-round multiplicity semantics.
+    /// `mhp_lock_pruned` counters keep their per-object-per-round
+    /// multiplicity semantics.
     pub pruned_pairs: Vec<PrunedPair>,
 }
 
@@ -423,20 +423,7 @@ impl InterferenceAnalysis<'_> {
         let checks: Vec<LoadCheck> = df
             .loads
             .iter()
-            .map(|load| {
-                check_load(
-                    self.prog,
-                    self.ts,
-                    self.mhp,
-                    self.opts.use_mhp,
-                    df,
-                    self.pool,
-                    &pted,
-                    &stores_on_obj,
-                    lockm.as_ref(),
-                    load,
-                )
-            })
+            .map(|load| self.check_load(df, &pted, &stores_on_obj, lockm.as_ref(), load))
             .collect();
 
         let mut changed = false;
@@ -468,6 +455,135 @@ impl InterferenceAnalysis<'_> {
             }
         }
         changed
+    }
+
+    /// Checks every candidate store against one load (the body of Alg. 2
+    /// lines 2–10 for a single `l`), interning the edge guards in the
+    /// pool.
+    fn check_load(
+        &mut self,
+        df: &DataflowResult,
+        pted: &PtedIndex,
+        stores_on_obj: &[Vec<usize>],
+        locks: Option<&LockModel>,
+        load: &LoadSite,
+    ) -> LoadCheck {
+        let (prog, ts, mhp) = (self.prog, self.ts, self.mhp);
+        let mut pruned = 0usize;
+        let mut lock_pruned = 0usize;
+        let mut records = Vec::new();
+        let Some(ya) = find_def_node(df, load.addr) else {
+            return LoadCheck {
+                edges: Vec::new(),
+                pruned: 0,
+                lock_pruned: 0,
+                records,
+            };
+        };
+        let tt = self.pool.tt();
+        let mut edges = Vec::new();
+        let stores = &df.stores;
+        for &(_, oi, beta) in pted.at(ya) {
+            let o = &pted.objs[oi as usize];
+            let candidates = &stores_on_obj[oi as usize];
+            for &si in candidates {
+                let s = &stores[si];
+                if s.label == load.label {
+                    continue;
+                }
+                let distinct = ts.may_be_in_distinct_threads(prog, s.label, load.label);
+                // Quick order refutation: a store that happens strictly
+                // after the load can never feed it. For a cross-function
+                // pair the order is fork/join-induced, i.e. an MHP fact
+                // (Defn. 1): the accesses never run in parallel and the
+                // store is not ordered before the load. For a same-function
+                // pair (a body live in several threads) it is plain program
+                // order. (Within `distinct`, these two cases exhaust the
+                // impossible-interference orders: `!parallel` with the
+                // store unordered before the load *is* `load -> store`.)
+                // Under `--no-mhp` the cross-function case keeps its edge —
+                // the SMT order constraints refute the same pairs, which
+                // `prop_pipeline::mhp_toggle_never_changes_reports` checks.
+                if mhp.order_graph().happens_before(load.label, s.label) {
+                    let same_func = prog.func_of(s.label) == prog.func_of(load.label);
+                    if same_func || self.opts.use_mhp {
+                        if distinct {
+                            let reason = if same_func {
+                                PruneReason::StoreAfterLoad
+                            } else {
+                                pruned += 1;
+                                PruneReason::Mhp {
+                                    parallel: false,
+                                    ordered_before: false,
+                                }
+                            };
+                            records.push(PrunedPair {
+                                store: s.label,
+                                load: load.label,
+                                object: *o,
+                                reason,
+                            });
+                        }
+                        continue;
+                    }
+                }
+                let xa = find_def_node(df, s.addr).expect("store candidates have address nodes");
+                let alpha = pted
+                    .guard(xa, oi)
+                    .expect("candidate addresses lie in Pted(o)");
+                if distinct {
+                    if let Some(lm) = locks {
+                        if let Some((class, killing_store)) =
+                            lock_excluded(df, mhp, lm, tt, s, load, candidates, stores)
+                        {
+                            lock_pruned += 1;
+                            records.push(PrunedPair {
+                                store: s.label,
+                                load: load.label,
+                                object: *o,
+                                reason: PruneReason::LockSharpen {
+                                    class,
+                                    killing_store,
+                                },
+                            });
+                            continue;
+                        }
+                    }
+                    let guard =
+                        edge_guard(self.pool, mhp, s, load, alpha, beta, candidates, stores);
+                    edges.push(PendingEdge {
+                        kind: EdgeKind::Interference,
+                        src_var: s.src,
+                        src_label: s.label,
+                        dst_var: load.dst,
+                        dst_label: load.label,
+                        guard,
+                        license: *o,
+                    });
+                } else if mhp.order_graph().happens_before(s.label, load.label) {
+                    // Alg. 2 line 9: refresh same-thread data dependence
+                    // over escaped objects (covers flows the bottom-up
+                    // summaries cannot see).
+                    let guard =
+                        edge_guard(self.pool, mhp, s, load, alpha, beta, candidates, stores);
+                    edges.push(PendingEdge {
+                        kind: EdgeKind::DataDep,
+                        src_var: s.src,
+                        src_label: s.label,
+                        dst_var: load.dst,
+                        dst_label: load.label,
+                        guard,
+                        license: *o,
+                    });
+                }
+            }
+        }
+        LoadCheck {
+            edges,
+            pruned,
+            lock_pruned,
+            records,
+        }
     }
 }
 
@@ -509,136 +625,6 @@ struct LoadCheck {
     pruned: usize,
     lock_pruned: usize,
     records: Vec<PrunedPair>,
-}
-
-/// Checks every candidate store against one load (the body of Alg. 2
-/// lines 2–10 for a single `l`), interning the edge guards in `pool`.
-#[allow(clippy::too_many_arguments)]
-fn check_load(
-    prog: &Program,
-    ts: &ThreadStructure,
-    mhp: &MhpAnalysis<'_>,
-    use_mhp: bool,
-    df: &DataflowResult,
-    pool: &mut TermPool,
-    pted: &PtedIndex,
-    stores_on_obj: &[Vec<usize>],
-    locks: Option<&LockModel>,
-    load: &LoadSite,
-) -> LoadCheck {
-    let mut pruned = 0usize;
-    let mut lock_pruned = 0usize;
-    let mut records = Vec::new();
-    let Some(ya) = find_def_node(df, load.addr) else {
-        return LoadCheck {
-            edges: Vec::new(),
-            pruned: 0,
-            lock_pruned: 0,
-            records,
-        };
-    };
-    let tt = pool.tt();
-    let mut edges = Vec::new();
-    let stores = &df.stores;
-    for &(_, oi, beta) in pted.at(ya) {
-        let o = &pted.objs[oi as usize];
-        let candidates = &stores_on_obj[oi as usize];
-        for &si in candidates {
-            let s = &stores[si];
-            if s.label == load.label {
-                continue;
-            }
-            let distinct = ts.may_be_in_distinct_threads(prog, s.label, load.label);
-            // Quick order refutation: a store that happens strictly
-            // after the load can never feed it. For a cross-function
-            // pair the order is fork/join-induced, i.e. an MHP fact
-            // (Defn. 1): the accesses never run in parallel and the
-            // store is not ordered before the load. For a same-function
-            // pair (a body live in several threads) it is plain program
-            // order. (Within `distinct`, these two cases exhaust the
-            // impossible-interference orders: `!parallel` with the
-            // store unordered before the load *is* `load -> store`.)
-            // Under `--no-mhp` the cross-function case keeps its edge —
-            // the SMT order constraints refute the same pairs, which
-            // `prop_pipeline::mhp_toggle_never_changes_reports` checks.
-            if mhp.order_graph().happens_before(load.label, s.label) {
-                let same_func = prog.func_of(s.label) == prog.func_of(load.label);
-                if same_func || use_mhp {
-                    if distinct {
-                        let reason = if same_func {
-                            PruneReason::StoreAfterLoad
-                        } else {
-                            pruned += 1;
-                            PruneReason::Mhp {
-                                parallel: false,
-                                ordered_before: false,
-                            }
-                        };
-                        records.push(PrunedPair {
-                            store: s.label,
-                            load: load.label,
-                            object: *o,
-                            reason,
-                        });
-                    }
-                    continue;
-                }
-            }
-            let xa = find_def_node(df, s.addr).expect("store candidates have address nodes");
-            let alpha = pted
-                .guard(xa, oi)
-                .expect("candidate addresses lie in Pted(o)");
-            if distinct {
-                if let Some(lm) = locks {
-                    if let Some((class, killing_store)) =
-                        lock_excluded(df, mhp, lm, tt, s, load, candidates, stores)
-                    {
-                        lock_pruned += 1;
-                        records.push(PrunedPair {
-                            store: s.label,
-                            load: load.label,
-                            object: *o,
-                            reason: PruneReason::LockSharpen {
-                                class,
-                                killing_store,
-                            },
-                        });
-                        continue;
-                    }
-                }
-                let guard = edge_guard(pool, mhp, s, load, alpha, beta, candidates, stores);
-                edges.push(PendingEdge {
-                    kind: EdgeKind::Interference,
-                    src_var: s.src,
-                    src_label: s.label,
-                    dst_var: load.dst,
-                    dst_label: load.label,
-                    guard,
-                    license: *o,
-                });
-            } else if mhp.order_graph().happens_before(s.label, load.label) {
-                // Alg. 2 line 9: refresh same-thread data dependence
-                // over escaped objects (covers flows the bottom-up
-                // summaries cannot see).
-                let guard = edge_guard(pool, mhp, s, load, alpha, beta, candidates, stores);
-                edges.push(PendingEdge {
-                    kind: EdgeKind::DataDep,
-                    src_var: s.src,
-                    src_label: s.label,
-                    dst_var: load.dst,
-                    dst_label: load.label,
-                    guard,
-                    license: *o,
-                });
-            }
-        }
-    }
-    LoadCheck {
-        edges,
-        pruned,
-        lock_pruned,
-        records,
-    }
 }
 
 /// Lock-based mutual-exclusion sharpening for one store/load pair:
