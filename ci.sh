@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # CI gate: build, run the whole test suite serially and again with the
-# parallel front-end enabled (CANARY_TEST_THREADS overrides the default
-# worker count) — the determinism guarantee means both passes must see
-# byte-identical analysis output — then lint and smoke-test the CLI.
+# parallel query-family solver enabled (CANARY_TEST_THREADS overrides
+# the default worker count) — the determinism guarantee means both
+# passes must see byte-identical analysis output — then lint and
+# smoke-test the CLI.
 set -eux
 
 # Every artifact the smoke checks write goes into one private directory,
@@ -12,9 +13,9 @@ trap 'rm -rf "$out"' EXIT
 
 cargo build --release --offline
 # The two workspace runs execute every suite of every crate, serially
-# and with the parallel front-end. Vendored proptest seeds each case
-# from the test name, so running one suite again would repeat the same
-# cases. Among the suites they cover:
+# and with the parallel query-family solver. Vendored proptest seeds
+# each case from the test name, so running one suite again would repeat
+# the same cases. Among the suites they cover:
 # - oracle_differential: witness replay over the fixed 16-seed corpus;
 # - memory_model_differential: the store-buffer oracle certifies every
 #   finding on the litmus corpus under sc, tso and pso; memory_models

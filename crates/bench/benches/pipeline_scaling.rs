@@ -26,4 +26,3 @@ fn bench_pipeline(c: &mut Criterion) {
 
 criterion_group!(benches, bench_pipeline);
 criterion_main!(benches);
-

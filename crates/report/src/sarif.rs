@@ -43,7 +43,7 @@ pub struct RunManifest {
     pub corpus_hash: String,
     /// Solver strategy (`fresh` / `incremental`).
     pub strategy: String,
-    /// Front-end worker threads.
+    /// Configured worker threads (`CanaryConfig::threads`).
     pub threads: usize,
     /// Remaining configuration knobs as sorted `(key, value)` pairs.
     pub config: Vec<(String, String)>,

@@ -22,9 +22,10 @@
 //!   --no-sync             disable lock/wait constraint generation
 //!   --no-prefilter        disable the semi-decision prefilter
 //!   --memory-model MODEL  sc (default), tso or pso
-//!   --threads N           front-end worker threads (default 1; output
-//!                         is byte-identical for any value)
-//!   --solver-threads N    parallel SMT query workers (default 1)
+//!   --threads N           query-family solver workers (default 1;
+//!                         output is byte-identical for any value)
+//!   --solver-threads N    parallel SMT query workers (default 1; the
+//!                         solver uses the larger of the two)
 //!   --solver-strategy S   fresh (one solver per query) or incremental
 //!                         (query-family solving with UNSAT-core
 //!                         subsumption and memoization; the default)

@@ -35,8 +35,8 @@
 //! which Alg. 1 analyzes sibling SCCs fixes.
 //!
 //! Every subject runs under `CanaryConfig::default()` plus its memory
-//! model, so `CANARY_TEST_THREADS=2` checks the sharded front end
-//! against the same table. On a mismatch the test prints the whole
+//! model, so `CANARY_TEST_THREADS=2` checks the parallel query-family
+//! solver against the same table. On a mismatch the test prints the whole
 //! actual table, ready to paste in after an intended output change.
 
 use canary::{Canary, CanaryConfig};
@@ -229,35 +229,39 @@ fn table1_suite_at_benchmark_scale_matches_golden_hashes() {
 #[test]
 fn saturation_points_match_golden_hashes() {
     // The saturation points of perfbench `hard-families` at run seed 0.
-    let subjects = [("sat-2k", 2000, 8, 5), ("sat-5k", 5000, 12, 6), ("sat-9k", 9000, 16, 6)]
-        .into_iter()
-        .map(|(name, size, families, fanout)| {
-            let spec = WorkloadSpec {
-                name: name.into(),
-                seed: 0xB50 + size as u64,
-                target_stmts: size,
-                threads: 3,
-                shared_cells: 6,
-                true_bugs: 2,
-                benign_patterns: 2,
-                contradiction_patterns: families,
-                handshake_patterns: 1,
-                order_fp_patterns: 2,
-                double_free: 1,
-                null_deref: 1,
-                leak: 1,
-                double_lock: 0,
-                conflict_lock: 0,
-                sb_patterns: 0,
-                mp_patterns: 0,
-                lb_patterns: 0,
-                family_fanout: fanout,
-                hard_family_ratio: 0.5,
-                filler: true,
-            };
-            (name.to_string(), generate(&spec).prog, MemoryModel::Sc)
-        })
-        .collect();
+    let subjects = [
+        ("sat-2k", 2000, 8, 5),
+        ("sat-5k", 5000, 12, 6),
+        ("sat-9k", 9000, 16, 6),
+    ]
+    .into_iter()
+    .map(|(name, size, families, fanout)| {
+        let spec = WorkloadSpec {
+            name: name.into(),
+            seed: 0xB50 + size as u64,
+            target_stmts: size,
+            threads: 3,
+            shared_cells: 6,
+            true_bugs: 2,
+            benign_patterns: 2,
+            contradiction_patterns: families,
+            handshake_patterns: 1,
+            order_fp_patterns: 2,
+            double_free: 1,
+            null_deref: 1,
+            leak: 1,
+            double_lock: 0,
+            conflict_lock: 0,
+            sb_patterns: 0,
+            mp_patterns: 0,
+            lb_patterns: 0,
+            family_fanout: fanout,
+            hard_family_ratio: 0.5,
+            filler: true,
+        };
+        (name.to_string(), generate(&spec).prog, MemoryModel::Sc)
+    })
+    .collect();
     check(subjects, SATURATION);
 }
 

@@ -14,8 +14,8 @@ use canary_ir::{
 };
 use canary_workloads::{generate, WorkloadSpec};
 
-/// The order graph is shared by the sharded Alg. 2 rounds and the
-/// parallel query families, so it must stay `Send + Sync`.
+/// The order graph and MHP analysis are read-only once built, so they
+/// stay `Send + Sync` and one instance can be shared across threads.
 const _: () = {
     const fn send_sync<T: Send + Sync>() {}
     send_sync::<OrderGraph<'static>>();
