@@ -102,9 +102,10 @@ fn main() {
         rustc_version: String::new(),
         timings_ms: vec![],
     };
-    let before = sarif_document(&prog, &outcome.reports, &manifest("before"));
-    let after = sarif_document(&fixed_prog, &fixed_outcome.reports, &manifest("after"));
-    let diff = diff_sarif(&before, &after).expect("well-formed SARIF");
+    let (before, after) = (manifest("before"), manifest("after"));
+    let before = serde_json::to_value(&sarif_document(&prog, &outcome.reports, &before));
+    let after = serde_json::to_value(&sarif_document(&fixed_prog, &fixed_outcome.reports, &after));
+    let diff = diff_sarif(&before.unwrap(), &after.unwrap()).expect("well-formed SARIF");
     println!("\n== run diff (before-fix baseline vs after-fix) ==");
     print!("{}", diff.render());
     assert_eq!(diff.fixed.len(), 1, "the joined free is fixed");

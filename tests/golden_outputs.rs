@@ -78,7 +78,8 @@ fn canary(model: MemoryModel) -> Canary {
 /// subject.
 fn hashes(name: &str, prog: &Program, model: MemoryModel) -> [String; 4] {
     let outcome = canary(model).analyze(prog);
-    let sarif = sarif_document(prog, &outcome.reports, &fixed_manifest(name));
+    let manifest = fixed_manifest(name);
+    let sarif = sarif_document(prog, &outcome.reports, &manifest);
     let sarif = serde_json::to_string_pretty(&sarif).expect("SARIF is valid JSON");
     let m = &outcome.metrics;
     let counters = format!(

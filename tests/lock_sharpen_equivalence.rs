@@ -18,8 +18,11 @@ fn with_sharpening(on: bool) -> Canary {
     Canary::with_config(config)
 }
 
+/// A finding as `(kind, source, sink)`.
+type Finding = (String, u32, u32);
+
 /// Everything a sharpening-induced change would show up in.
-fn signature(outcome: &AnalysisOutcome) -> (Vec<(String, u32, u32)>, Vec<(String, u32, u32)>, usize) {
+fn signature(outcome: &AnalysisOutcome) -> (Vec<Finding>, Vec<Finding>, usize) {
     (
         outcome
             .reports

@@ -90,7 +90,9 @@ proptest! {
             // with probability 1/4, decided by a hash of the pair.
             let mask = rng.next();
             let keep = move |a: Label, b: Label| {
-                Mix(mask ^ ((u64::from(a.0) << 32) | u64::from(b.0))).next() % 4 != 0
+                !Mix(mask ^ ((u64::from(a.0) << 32) | u64::from(b.0)))
+                    .next()
+                    .is_multiple_of(4)
             };
             let evs: Vec<Label> = events.iter().copied().collect();
             let mut pool = TermPool::new();

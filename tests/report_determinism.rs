@@ -29,8 +29,10 @@ use proptest::prelude::*;
 use serde_json::Value;
 
 fn configured(threads: usize, strategy: SolverStrategy, model: MemoryModel) -> Canary {
-    let mut config = CanaryConfig::default();
-    config.threads = threads;
+    let mut config = CanaryConfig {
+        threads,
+        ..CanaryConfig::default()
+    };
     config.detect.solver.strategy = strategy;
     config.detect.memory_model = model;
     Canary::with_config(config)
@@ -145,7 +147,9 @@ proptest! {
                 let outcome = configured(threads, strategy, model).analyze(&w.prog);
                 let prog = outcome.analyzed_program.as_ref().unwrap_or(&w.prog);
                 rendered.push(artifacts(prog, &outcome));
-                docs.push(sarif_document(prog, &outcome.reports, &fixed_manifest("workload.cir")));
+                let manifest = fixed_manifest("workload.cir");
+                let doc = serde_json::to_value(&sarif_document(prog, &outcome.reports, &manifest));
+                docs.push(doc.expect("valid json"));
             }
             for (i, r) in rendered.iter().enumerate().skip(1) {
                 prop_assert_eq!(&rendered[0].0, &r.0, "SARIF differs in combo {} under {:?}", i, model);
