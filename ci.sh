@@ -36,7 +36,7 @@ cargo build --release --offline
 #   certificates).
 cargo test -q --workspace --offline
 CANARY_TEST_THREADS=2 cargo test -q --workspace --offline
-cargo clippy --workspace --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline -- -D warnings
 # Store-buffering litmus smoke: the Dekker-style double free replays
 # on the store-buffer machine under tso/pso but has no SC witness, so
 # --verify-witnesses separates the models at the CLI level.

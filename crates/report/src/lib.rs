@@ -13,11 +13,19 @@
 //!   findings as *new*, *persisting* or *fixed*, the engine behind
 //!   `--baseline` and `canary diff`.
 //!
-//! Everything here is deterministic: SARIF objects serialize with
-//! sorted keys, result order follows report order, and the only
-//! nondeterministic values (phase wall times) are quarantined under
-//! `invocations[0].properties.timings` where the determinism harness
-//! normalizes them away.
+//! [`sarif_document`] returns a [`SarifLog`] that borrows the run's
+//! program, reports and manifest. Serializing it streams the document
+//! straight to text through the vendored `serde::JsonWriter`, with no
+//! `Value` tree in between, so the export costs about what writing its
+//! bytes costs. `serde_json::to_value` parses that text for the callers
+//! that walk the document ([`diff_sarif`] under `--baseline`, tests).
+//!
+//! Everything here is deterministic: every SARIF object is written with
+//! its keys in sorted order (the bytes a key-sorted `Value` tree of the
+//! same document renders to), result order follows report order, and
+//! the only nondeterministic values (phase wall times) are quarantined
+//! under `invocations[0].properties.timings` where the determinism
+//! harness normalizes them away.
 //!
 //! [`BugReport`]: canary_detect::BugReport
 
@@ -28,7 +36,7 @@ pub mod diff;
 pub mod sarif;
 
 pub use diff::{diff_sarif, findings_of_sarif, FindingSummary, SarifDiff};
-pub use sarif::{sarif_document, RunManifest, SARIF_SCHEMA_URI, SARIF_VERSION};
+pub use sarif::{sarif_document, RunManifest, SarifLog, SARIF_SCHEMA_URI, SARIF_VERSION};
 
 /// FNV-1a 64-bit content hash, rendered as 16 hex digits — the corpus
 /// hash recorded in the SARIF run manifest so two runs can be checked
