@@ -247,7 +247,9 @@ fn bind(
             let (Some(&p), Some(al)) = (func.params.get(i), def_site[a.index()]) else {
                 continue;
             };
-            let Some(pl) = def_site[p.index()] else { continue };
+            let Some(pl) = def_site[p.index()] else {
+                continue;
+            };
             let an = vfg.def_node(a, al);
             let pn = vfg.def_node(p, pl);
             vfg.add_edge(an, pn, EdgeKind::Direct, tt);
@@ -258,9 +260,13 @@ fn bind(
                     let Some(&rv) = vals.get(k) else { continue };
                     // Anchor at the returned variable's definition so the
                     // flow chain from its producers stays connected.
-                    let Some(rl) = def_site[rv.index()] else { continue };
+                    let Some(rl) = def_site[rv.index()] else {
+                        continue;
+                    };
                     let rn = vfg.def_node(rv, rl);
-                    let Some(dl) = def_site[d.index()] else { continue };
+                    let Some(dl) = def_site[d.index()] else {
+                        continue;
+                    };
                     let dn = vfg.def_node(d, dl);
                     vfg.add_edge(rn, dn, EdgeKind::Direct, tt);
                 }
@@ -306,7 +312,10 @@ pub fn check_uaf_unguarded(
     let mut sink_of: Vec<(NodeId, Label)> = Vec::new();
     for l in prog.labels() {
         if let Inst::Deref { ptr } = prog.inst(l) {
-            if let Some(n) = vfg.find(NodeKind::Def { var: *ptr, label: l }) {
+            if let Some(n) = vfg.find(NodeKind::Def {
+                var: *ptr,
+                label: l,
+            }) {
                 sink_of.push((n, l));
             }
         }
@@ -319,8 +328,13 @@ pub fn check_uaf_unguarded(
         let Inst::Free { ptr } = prog.inst(free_label) else {
             continue;
         };
-        let Some(dl) = def_site[ptr.index()] else { continue };
-        let Some(pn) = vfg.find(NodeKind::Def { var: *ptr, label: dl }) else {
+        let Some(dl) = def_site[ptr.index()] else {
+            continue;
+        };
+        let Some(pn) = vfg.find(NodeKind::Def {
+            var: *ptr,
+            label: dl,
+        }) else {
             continue;
         };
         for obj in vfg.objects_reaching(pn) {

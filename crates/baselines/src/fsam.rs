@@ -172,9 +172,7 @@ pub fn solve(prog: &Program, deadline: Deadline) -> Budgeted<FsamResult> {
     // Per-label states are the memory signature of flow-sensitivity.
     let state_bytes: usize = label_states
         .values()
-        .map(|st| {
-            st.values().map(HashSet::len).sum::<usize>() * 16 + st.len() * 48 + 32
-        })
+        .map(|st| st.values().map(HashSet::len).sum::<usize>() * 16 + st.len() * 48 + 32)
         .sum();
     let og = OrderGraph::build(prog, &cg);
     let filter = |sl: Label, ll: Label| -> bool {
@@ -360,10 +358,9 @@ mod tests {
 
     #[test]
     fn state_bytes_account_for_labels() {
-        let prog = parse(
-            "fn main() { x = alloc o1; cell = alloc c; *cell = x; y = *cell; use y; }",
-        )
-        .unwrap();
+        let prog =
+            parse("fn main() { x = alloc o1; cell = alloc c; *cell = x; y = *cell; use y; }")
+                .unwrap();
         let r = solve(&prog, Deadline::none()).expect_done("no deadline");
         assert!(r.state_bytes > 0);
     }

@@ -78,10 +78,8 @@ pub fn solve_andersen(prog: &Program, deadline: Deadline) -> Budgeted<PointsTo> 
                     let objs: Vec<ObjId> = pts.var_pts[addr.index()].iter().copied().collect();
                     let vals: HashSet<ObjId> = pts.var_pts[src.index()].clone();
                     for o in objs {
-                        let add: Vec<ObjId> = vals
-                            .difference(&pts.cell_pts[o.index()])
-                            .copied()
-                            .collect();
+                        let add: Vec<ObjId> =
+                            vals.difference(&pts.cell_pts[o.index()]).copied().collect();
                         if !add.is_empty() {
                             changed = true;
                             pts.cell_pts[o.index()].extend(add);

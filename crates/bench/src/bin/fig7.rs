@@ -78,8 +78,15 @@ fn main() {
         "{}",
         render_table(
             &[
-                "#", "subject", "stmts", "saber-t(s)", "fsam-t(s)", "canary-t(s)",
-                "saber-MiB", "fsam-MiB", "canary-MiB",
+                "#",
+                "subject",
+                "stmts",
+                "saber-t(s)",
+                "fsam-t(s)",
+                "canary-t(s)",
+                "saber-MiB",
+                "fsam-MiB",
+                "canary-MiB",
             ],
             &rows,
         )
@@ -130,7 +137,10 @@ fn main() {
         println!("\n## Front-end breakdown — {name} (largest subject)");
         println!(
             "{}",
-            render_table(&["phase", "wall(ms)", "tasks", "share(%)"], &phase_breakdown(&m))
+            render_table(
+                &["phase", "wall(ms)", "tasks", "share(%)"],
+                &phase_breakdown(&m)
+            )
         );
         print!("{}", attribution_report(&m, 5));
     }

@@ -8,8 +8,7 @@
 //! Knobs: `CANARY_BENCH_STMTS_PER_KLOC` (default 8).
 
 use canary_bench::{
-    attribution_report, env_f64, linear_fit, phase_breakdown, render_table,
-    run_canary_uaf_profiled,
+    attribution_report, env_f64, linear_fit, phase_breakdown, render_table, run_canary_uaf_profiled,
 };
 use canary_workloads::{generate, table1_suite, SuiteScale};
 
@@ -77,7 +76,10 @@ fn main() {
         println!("\n## Pipeline breakdown — {name} (largest subject)");
         println!(
             "{}",
-            render_table(&["phase", "wall(ms)", "tasks", "share(%)"], &phase_breakdown(&m))
+            render_table(
+                &["phase", "wall(ms)", "tasks", "share(%)"],
+                &phase_breakdown(&m)
+            )
         );
         print!("{}", attribution_report(&m, 5));
     }
@@ -111,7 +113,13 @@ fn main() {
         "{}",
         render_table(
             &[
-                "strategy", "detect(ms)", "queries", "decisions", "conflicts", "lemmas", "reused"
+                "strategy",
+                "detect(ms)",
+                "queries",
+                "decisions",
+                "conflicts",
+                "lemmas",
+                "reused"
             ],
             &rows
         )

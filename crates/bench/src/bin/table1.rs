@@ -68,8 +68,14 @@ fn main() {
         "{}",
         render_table(
             &[
-                "project", "stmts", "saber-FPrate", "saber-#Rep", "fsam-FPrate", "fsam-#Rep",
-                "canary-#FP", "canary-#Rep",
+                "project",
+                "stmts",
+                "saber-FPrate",
+                "saber-#Rep",
+                "fsam-FPrate",
+                "fsam-#Rep",
+                "canary-#FP",
+                "canary-#Rep",
             ],
             &rows
         )
@@ -84,17 +90,13 @@ fn main() {
         "Canary: {canary_reports_total} reports, {canary_fp_total} FP \
          ({fp_rate:.2}% FP rate; paper: 15 reports, 26.67%), {canary_missed} seeded bugs missed"
     );
-    println!(
-        "Saber:  {saber_total} warnings on finished subjects (paper: ~9.9k overall)"
-    );
+    println!("Saber:  {saber_total} warnings on finished subjects (paper: ~9.9k overall)");
     println!("Fsam:   {fsam_total} warnings on finished subjects (paper: ~586 overall)");
 
     // Self-check of the Tbl. 1 shape claims.
-    let canary_matches_paper = canary_reports_total == 15
-        && canary_fp_total == 4
-        && canary_missed == 0;
-    let volume_ordering =
-        saber_total >= fsam_total && fsam_total >= canary_reports_total;
+    let canary_matches_paper =
+        canary_reports_total == 15 && canary_fp_total == 4 && canary_missed == 0;
+    let volume_ordering = saber_total >= fsam_total && fsam_total >= canary_reports_total;
     println!(
         "shape check (Canary 15 reports / 4 FP / 0 missed; Saber ≥ Fsam ≥ Canary \
          report volume): {}",

@@ -264,56 +264,251 @@ impl Metrics {
         let g = |reg: &mut MetricsRegistry, name, help, v: f64| {
             reg.set_gauge(name, help, &[], v);
         };
-        g(&mut reg, "canary_program_statements", "Statements in the bounded program", self.stmt_count as f64);
-        g(&mut reg, "canary_program_threads", "Static threads in the program", self.thread_count as f64);
-        g(&mut reg, "canary_vfg_nodes", "VFG nodes after Alg. 1 + Alg. 2", self.vfg_nodes as f64);
-        g(&mut reg, "canary_vfg_edges", "VFG edges after Alg. 1 + Alg. 2", self.vfg_edges as f64);
-        g(&mut reg, "canary_vfg_interference_edges", "Interference edges added by Alg. 2", self.interference_edges as f64);
-        g(&mut reg, "canary_vfg_bytes", "Approximate VFG arena bytes (deterministic)", self.vfg_bytes as f64);
-        g(&mut reg, "canary_term_table_terms", "Interned SMT terms", self.term_count as f64);
-        g(&mut reg, "canary_term_table_bytes", "Approximate term-table bytes (deterministic)", self.term_bytes as f64);
-        g(&mut reg, "canary_escaped_objects", "Escaped objects found by Alg. 2", self.escaped_objects as f64);
-        g(&mut reg, "canary_worker_threads", "Configured worker threads", self.worker_threads as f64);
+        g(
+            &mut reg,
+            "canary_program_statements",
+            "Statements in the bounded program",
+            self.stmt_count as f64,
+        );
+        g(
+            &mut reg,
+            "canary_program_threads",
+            "Static threads in the program",
+            self.thread_count as f64,
+        );
+        g(
+            &mut reg,
+            "canary_vfg_nodes",
+            "VFG nodes after Alg. 1 + Alg. 2",
+            self.vfg_nodes as f64,
+        );
+        g(
+            &mut reg,
+            "canary_vfg_edges",
+            "VFG edges after Alg. 1 + Alg. 2",
+            self.vfg_edges as f64,
+        );
+        g(
+            &mut reg,
+            "canary_vfg_interference_edges",
+            "Interference edges added by Alg. 2",
+            self.interference_edges as f64,
+        );
+        g(
+            &mut reg,
+            "canary_vfg_bytes",
+            "Approximate VFG arena bytes (deterministic)",
+            self.vfg_bytes as f64,
+        );
+        g(
+            &mut reg,
+            "canary_term_table_terms",
+            "Interned SMT terms",
+            self.term_count as f64,
+        );
+        g(
+            &mut reg,
+            "canary_term_table_bytes",
+            "Approximate term-table bytes (deterministic)",
+            self.term_bytes as f64,
+        );
+        g(
+            &mut reg,
+            "canary_escaped_objects",
+            "Escaped objects found by Alg. 2",
+            self.escaped_objects as f64,
+        );
+        g(
+            &mut reg,
+            "canary_worker_threads",
+            "Configured worker threads",
+            self.worker_threads as f64,
+        );
 
         let c = |reg: &mut MetricsRegistry, name, help, v: f64| {
             reg.add_counter(name, help, &[], v);
         };
-        c(&mut reg, "canary_mhp_lock_pruned", "Store/load pairs discharged by lock-based MHP sharpening", self.mhp_lock_pruned as f64);
+        c(
+            &mut reg,
+            "canary_mhp_lock_pruned",
+            "Store/load pairs discharged by lock-based MHP sharpening",
+            self.mhp_lock_pruned as f64,
+        );
         let d = &self.detect;
-        c(&mut reg, "canary_detect_candidate_paths", "Candidate source-sink paths enumerated", d.candidate_paths as f64);
-        c(&mut reg, "canary_detect_queries", "SMT queries issued", d.queries as f64);
-        c(&mut reg, "canary_detect_prefiltered", "Queries answered by the semi-decision prefilter", d.prefiltered as f64);
-        c(&mut reg, "canary_detect_confirmed", "Reports surviving SMT validation (pre-dedup)", d.confirmed as f64);
-        c(&mut reg, "canary_detect_reports_deduped", "Fingerprint-equal findings collapsed before emission", self.reports_deduped as f64);
-        c(&mut reg, "canary_detect_witnesses_checked", "Witness schedules replayed by the oracle", self.witnesses_checked as f64);
-        c(&mut reg, "canary_detect_witnesses_confirmed", "Replays that concretely fired the claimed bug", self.witnesses_confirmed as f64);
-        c(&mut reg, "canary_solver_decisions", "CDCL decisions across all validation queries", d.decisions as f64);
-        c(&mut reg, "canary_solver_conflicts", "CDCL conflicts across all validation queries", d.conflicts as f64);
-        c(&mut reg, "canary_solver_propagations", "Unit propagations across all validation queries", d.propagations as f64);
-        c(&mut reg, "canary_solver_learned", "Learned clauses retained across all validation queries", d.learned as f64);
-        c(&mut reg, "canary_solver_theory_lemmas", "Theory (order-cycle) lemmas fed back", d.theory_lemmas as f64);
-        c(&mut reg, "canary_solver_families", "Query families formed by the incremental strategy", d.families as f64);
-        c(&mut reg, "canary_solver_memo_hits", "Queries answered from the hash-consed result memo", d.memo_hits as f64);
-        c(&mut reg, "canary_solver_core_subsumed", "Queries refuted by UNSAT-core subsumption", d.core_subsumed as f64);
-        c(&mut reg, "canary_solver_incremental_queries", "Queries solved on a persistent family solver", d.incremental as f64);
-        c(&mut reg, "canary_solver_clauses_retained", "Learned clauses alive on family solvers at family end", d.clauses_retained as f64);
+        c(
+            &mut reg,
+            "canary_detect_candidate_paths",
+            "Candidate source-sink paths enumerated",
+            d.candidate_paths as f64,
+        );
+        c(
+            &mut reg,
+            "canary_detect_queries",
+            "SMT queries issued",
+            d.queries as f64,
+        );
+        c(
+            &mut reg,
+            "canary_detect_prefiltered",
+            "Queries answered by the semi-decision prefilter",
+            d.prefiltered as f64,
+        );
+        c(
+            &mut reg,
+            "canary_detect_confirmed",
+            "Reports surviving SMT validation (pre-dedup)",
+            d.confirmed as f64,
+        );
+        c(
+            &mut reg,
+            "canary_detect_reports_deduped",
+            "Fingerprint-equal findings collapsed before emission",
+            self.reports_deduped as f64,
+        );
+        c(
+            &mut reg,
+            "canary_detect_witnesses_checked",
+            "Witness schedules replayed by the oracle",
+            self.witnesses_checked as f64,
+        );
+        c(
+            &mut reg,
+            "canary_detect_witnesses_confirmed",
+            "Replays that concretely fired the claimed bug",
+            self.witnesses_confirmed as f64,
+        );
+        c(
+            &mut reg,
+            "canary_solver_decisions",
+            "CDCL decisions across all validation queries",
+            d.decisions as f64,
+        );
+        c(
+            &mut reg,
+            "canary_solver_conflicts",
+            "CDCL conflicts across all validation queries",
+            d.conflicts as f64,
+        );
+        c(
+            &mut reg,
+            "canary_solver_propagations",
+            "Unit propagations across all validation queries",
+            d.propagations as f64,
+        );
+        c(
+            &mut reg,
+            "canary_solver_learned",
+            "Learned clauses retained across all validation queries",
+            d.learned as f64,
+        );
+        c(
+            &mut reg,
+            "canary_solver_theory_lemmas",
+            "Theory (order-cycle) lemmas fed back",
+            d.theory_lemmas as f64,
+        );
+        c(
+            &mut reg,
+            "canary_solver_families",
+            "Query families formed by the incremental strategy",
+            d.families as f64,
+        );
+        c(
+            &mut reg,
+            "canary_solver_memo_hits",
+            "Queries answered from the hash-consed result memo",
+            d.memo_hits as f64,
+        );
+        c(
+            &mut reg,
+            "canary_solver_core_subsumed",
+            "Queries refuted by UNSAT-core subsumption",
+            d.core_subsumed as f64,
+        );
+        c(
+            &mut reg,
+            "canary_solver_incremental_queries",
+            "Queries solved on a persistent family solver",
+            d.incremental as f64,
+        );
+        c(
+            &mut reg,
+            "canary_solver_clauses_retained",
+            "Learned clauses alive on family solvers at family end",
+            d.clauses_retained as f64,
+        );
 
         // Audit-layer disposition totals: deterministic (derived from
         // term-determined certificates), so they live in the canonical
         // family set and the `candidates == reported + deduped + Σ
         // pruned` reconciliation can be checked from an export alone.
         let a = self.audit.reconcile().unwrap_or_default();
-        c(&mut reg, "canary_audit_candidates", "Detect-layer candidates given a terminal audit disposition", a.candidates as f64);
-        c(&mut reg, "canary_audit_reported", "Audit dispositions: confirmed and emitted", a.reported as f64);
-        c(&mut reg, "canary_audit_deduped", "Audit dispositions: confirmed but collapsed into an equivalent finding", a.deduped as f64);
-        c(&mut reg, "canary_audit_prefiltered", "Audit dispositions: killed by the construction/semi-decision prefilter", a.prefiltered as f64);
-        c(&mut reg, "canary_audit_unsat", "Audit dispositions: refuted by solving or UNSAT-core subsumption", a.unsat as f64);
-        c(&mut reg, "canary_audit_memoized", "Audit dispositions: refuted by the verdict memo", a.memoized as f64);
-        c(&mut reg, "canary_audit_scope_filtered", "Audit dispositions: dropped by --inter-thread-only", a.scope_filtered as f64);
-        c(&mut reg, "canary_audit_path_budget", "Path-budget truncation markers recorded by the audit layer", a.path_budget as f64);
-        c(&mut reg, "canary_audit_pruned_mhp", "Interference pairs pruned by plain MHP", a.pruned_mhp as f64);
-        c(&mut reg, "canary_audit_pruned_lock", "Interference pairs pruned by lock-sharpened MHP", a.pruned_lock as f64);
-        c(&mut reg, "canary_audit_pruned_order", "Interference pairs refuted by program order", a.pruned_order as f64);
+        c(
+            &mut reg,
+            "canary_audit_candidates",
+            "Detect-layer candidates given a terminal audit disposition",
+            a.candidates as f64,
+        );
+        c(
+            &mut reg,
+            "canary_audit_reported",
+            "Audit dispositions: confirmed and emitted",
+            a.reported as f64,
+        );
+        c(
+            &mut reg,
+            "canary_audit_deduped",
+            "Audit dispositions: confirmed but collapsed into an equivalent finding",
+            a.deduped as f64,
+        );
+        c(
+            &mut reg,
+            "canary_audit_prefiltered",
+            "Audit dispositions: killed by the construction/semi-decision prefilter",
+            a.prefiltered as f64,
+        );
+        c(
+            &mut reg,
+            "canary_audit_unsat",
+            "Audit dispositions: refuted by solving or UNSAT-core subsumption",
+            a.unsat as f64,
+        );
+        c(
+            &mut reg,
+            "canary_audit_memoized",
+            "Audit dispositions: refuted by the verdict memo",
+            a.memoized as f64,
+        );
+        c(
+            &mut reg,
+            "canary_audit_scope_filtered",
+            "Audit dispositions: dropped by --inter-thread-only",
+            a.scope_filtered as f64,
+        );
+        c(
+            &mut reg,
+            "canary_audit_path_budget",
+            "Path-budget truncation markers recorded by the audit layer",
+            a.path_budget as f64,
+        );
+        c(
+            &mut reg,
+            "canary_audit_pruned_mhp",
+            "Interference pairs pruned by plain MHP",
+            a.pruned_mhp as f64,
+        );
+        c(
+            &mut reg,
+            "canary_audit_pruned_lock",
+            "Interference pairs pruned by lock-sharpened MHP",
+            a.pruned_lock as f64,
+        );
+        c(
+            &mut reg,
+            "canary_audit_pruned_order",
+            "Interference pairs refuted by program order",
+            a.pruned_order as f64,
+        );
 
         for (phase, s) in [
             ("dataflow", &self.dataflow_phase),
@@ -321,10 +516,30 @@ impl Metrics {
             ("detect", &self.detect_phase),
         ] {
             let labels = [("phase", phase)];
-            reg.set_gauge("canary_phase_workers", "Worker threads the phase ran with", &labels, s.workers as f64);
-            reg.set_gauge("canary_phase_tasks", "Independent work items the phase executed", &labels, s.tasks as f64);
-            reg.set_gauge("canary_phase_wall_seconds", "Phase wall-clock time (volatile)", &labels, s.wall.as_secs_f64());
-            reg.set_gauge("canary_phase_peak_rss_bytes", "Process peak RSS at phase end (volatile)", &labels, s.peak_rss as f64);
+            reg.set_gauge(
+                "canary_phase_workers",
+                "Worker threads the phase ran with",
+                &labels,
+                s.workers as f64,
+            );
+            reg.set_gauge(
+                "canary_phase_tasks",
+                "Independent work items the phase executed",
+                &labels,
+                s.tasks as f64,
+            );
+            reg.set_gauge(
+                "canary_phase_wall_seconds",
+                "Phase wall-clock time (volatile)",
+                &labels,
+                s.wall.as_secs_f64(),
+            );
+            reg.set_gauge(
+                "canary_phase_peak_rss_bytes",
+                "Process peak RSS at phase end (volatile)",
+                &labels,
+                s.peak_rss as f64,
+            );
         }
 
         for p in &self.query_profiles {
@@ -520,7 +735,10 @@ impl Canary {
         // The `threads` knob sets the query-family solver's workers,
         // unless the solver was tuned separately to more.
         let mut detect_opts = self.config.detect.clone();
-        detect_opts.solver.num_threads = detect_opts.solver.num_threads.max(self.config.threads.max(1));
+        detect_opts.solver.num_threads = detect_opts
+            .solver
+            .num_threads
+            .max(self.config.threads.max(1));
         let ctx = DetectContext::new(prog, &ts, &mhp, &df, &detect_opts);
         let mut stats = DetectStats::default();
         let mut reports = Vec::new();
@@ -844,10 +1062,7 @@ mod tests {
             .unwrap();
         assert!(!outcome.reports.is_empty());
         assert_eq!(outcome.witness_replays.len(), outcome.reports.len());
-        assert_eq!(
-            outcome.metrics.witnesses_checked,
-            outcome.reports.len()
-        );
+        assert_eq!(outcome.metrics.witnesses_checked, outcome.reports.len());
         assert_eq!(
             outcome.metrics.witnesses_confirmed,
             outcome.reports.len(),

@@ -443,7 +443,11 @@ impl Alg1<'_> {
                 });
                 let dn = self.vfg.def_node(dst, l);
                 let addr_pts = self.pg(addr);
-                for Guarded { guard: gamma, value: sym } in addr_pts {
+                for Guarded {
+                    guard: gamma,
+                    value: sym,
+                } in addr_pts
+                {
                     let key = match sym {
                         Sym::Obj(o) => MemKey::Obj(o),
                         Sym::Param(i) => MemKey::ParamCell(i),
@@ -451,7 +455,11 @@ impl Alg1<'_> {
                     };
                     let base = self.pool.and2(phi, gamma);
                     if let Some(cells) = mem.get(&key) {
-                        for &Guarded { guard: delta, value: val } in cells {
+                        for &Guarded {
+                            guard: delta,
+                            value: val,
+                        } in cells
+                        {
                             let g = self.pool.and2(base, delta);
                             if g == self.pool.ff() {
                                 continue;
@@ -495,7 +503,11 @@ impl Alg1<'_> {
                 let addr_pts = self.pg(addr);
                 let strong = addr_pts.len() == 1;
                 let src_pts = self.pg(src);
-                for Guarded { guard: gamma, value: sym } in addr_pts {
+                for Guarded {
+                    guard: gamma,
+                    value: sym,
+                } in addr_pts
+                {
                     let key = match sym {
                         Sym::Obj(o) => MemKey::Obj(o),
                         Sym::Param(i) => MemKey::ParamCell(i),
@@ -514,7 +526,11 @@ impl Alg1<'_> {
                             },
                         );
                     } else {
-                        for Guarded { guard: delta, value: s } in &src_pts {
+                        for Guarded {
+                            guard: delta,
+                            value: s,
+                        } in &src_pts
+                        {
                             let g = self.pool.and2(base, *delta);
                             insert_guarded(
                                 self.pool,
@@ -628,7 +644,9 @@ impl Alg1<'_> {
             for (k, &dst) in dsts.iter().enumerate() {
                 let Some(&rv) = vals.get(k) else { continue };
                 let g = self.pool.and2(phi, *rguard);
-                let Some(rn) = self.def_node(rv) else { continue };
+                let Some(rn) = self.def_node(rv) else {
+                    continue;
+                };
                 let dn = self.vfg.def_node(dst, call_label);
                 self.vfg.add_edge(rn, dn, EdgeKind::Direct, g);
                 let rpts = self.pg(rv);
@@ -660,7 +678,11 @@ impl Alg1<'_> {
                 }
             };
             for (kg, rkey) in resolved_keys {
-                for Guarded { guard: delta, value: val } in cells {
+                for Guarded {
+                    guard: delta,
+                    value: val,
+                } in cells
+                {
                     let base3 = self.pool.and2(phi, kg);
                     let base = self.pool.and2(base3, *delta);
                     let pointees: Vec<(TermId, Option<Sym>)> = match val.pointee {
@@ -690,7 +712,11 @@ impl Alg1<'_> {
                 continue;
             };
             let arg_pts = self.pg(arg);
-            for Guarded { guard: ga, value: s } in arg_pts {
+            for Guarded {
+                guard: ga,
+                value: s,
+            } in arg_pts
+            {
                 let base2 = self.pool.and2(phi, ga);
                 let base = self.pool.and2(base2, pl.guard);
                 match s {
@@ -698,7 +724,11 @@ impl Alg1<'_> {
                         let Some(cells) = mem.get(&MemKey::Obj(o)) else {
                             continue;
                         };
-                        for &Guarded { guard: delta, value: val } in cells {
+                        for &Guarded {
+                            guard: delta,
+                            value: val,
+                        } in cells
+                        {
                             let Some((sl, sv)) = val.origin else { continue };
                             let g = self.pool.and2(base, delta);
                             if g == self.pool.ff() {

@@ -98,16 +98,11 @@ mod tests {
 
     #[test]
     fn load_reads_stored_value() {
-        let (prog, _pool, r) = analyze(
-            "fn main() { x = alloc o1; cell = alloc c; *cell = x; y = *cell; use y; }",
-        );
+        let (prog, _pool, r) =
+            analyze("fn main() { x = alloc o1; cell = alloc c; *cell = x; y = *cell; use y; }");
         assert_eq!(pts_objs(&prog, &r, "main", "y"), vec!["o1"]);
         // And the VFG has the indirect store→load edge.
-        assert!(r
-            .vfg
-            .edges()
-            .iter()
-            .any(|e| e.kind == EdgeKind::DataDep));
+        assert!(r.vfg.edges().iter().any(|e| e.kind == EdgeKind::DataDep));
     }
 
     #[test]
@@ -225,9 +220,8 @@ mod tests {
 
     #[test]
     fn null_flows_through_memory() {
-        let (prog, _pool, r) = analyze(
-            "fn main() { cell = alloc c; n = null; *cell = n; y = *cell; use y; }",
-        );
+        let (prog, _pool, r) =
+            analyze("fn main() { cell = alloc c; n = null; *cell = n; y = *cell; use y; }");
         let f = prog.func_by_name("main").unwrap();
         let y = prog.var_by_name(f, "y").unwrap();
         assert!(r.pgtop[y.index()].iter().any(|e| e.value == Sym::Null));
@@ -254,9 +248,8 @@ mod tests {
 
     #[test]
     fn stores_and_loads_are_inventoried() {
-        let (_prog, _pool, r) = analyze(
-            "fn main() { cell = alloc c; v = alloc o; *cell = v; y = *cell; use y; }",
-        );
+        let (_prog, _pool, r) =
+            analyze("fn main() { cell = alloc c; v = alloc o; *cell = v; y = *cell; use y; }");
         assert_eq!(r.stores.len(), 1);
         assert_eq!(r.loads.len(), 1);
     }

@@ -81,8 +81,7 @@ impl LockModel {
         // Union-find over mutex objects: the objects of one site are a
         // may-alias set, so they merge into one class; sites sharing an
         // object land in the same class transitively.
-        let mut parent: std::collections::HashMap<ObjId, ObjId> =
-            std::collections::HashMap::new();
+        let mut parent: std::collections::HashMap<ObjId, ObjId> = std::collections::HashMap::new();
         fn find(parent: &mut std::collections::HashMap<ObjId, ObjId>, x: ObjId) -> ObjId {
             let p = *parent.entry(x).or_insert(x);
             if p == x {
@@ -140,8 +139,7 @@ impl LockModel {
             let Some(class) = ls.class else { continue };
             let mut best: Option<Label> = None;
             for us in &unlocks {
-                if us.class != Some(class) || prog.func_of(ls.label) != prog.func_of(us.label)
-                {
+                if us.class != Some(class) || prog.func_of(ls.label) != prog.func_of(us.label) {
                     continue;
                 }
                 if og.happens_before(ls.label, us.label)

@@ -44,12 +44,7 @@ impl PathConditions {
         PathConditions { per_label }
     }
 
-    fn compute_func(
-        prog: &Program,
-        f: FuncId,
-        pool: &mut TermPool,
-        per_label: &mut [TermId],
-    ) {
+    fn compute_func(prog: &Program, f: FuncId, pool: &mut TermPool, per_label: &mut [TermId]) {
         let func = prog.func(f);
         let mut block_cond = vec![pool.ff(); func.blocks.len()];
         block_cond[func.entry.index()] = pool.tt();
@@ -140,8 +135,7 @@ mod tests {
 
     #[test]
     fn nested_branches_conjoin() {
-        let prog =
-            parse("fn main() { p = alloc o; if (a) { if (b) { free p; } } }").unwrap();
+        let prog = parse("fn main() { p = alloc o; if (a) { if (b) { free p; } } }").unwrap();
         let mut pool = TermPool::new();
         let pc = PathConditions::compute(&prog, &mut pool);
         let g = pc.guard(prog.free_sites()[0]);

@@ -9,8 +9,8 @@ use canary_smt::{check, SolverOptions, SolverStats, TermPool};
 use canary_workloads::{generate, WorkloadSpec};
 
 fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
-    (0u64..400, 150usize..450, 1usize..4, 1usize..4).prop_map(
-        |(seed, stmts, threads, cells)| WorkloadSpec {
+    (0u64..400, 150usize..450, 1usize..4, 1usize..4).prop_map(|(seed, stmts, threads, cells)| {
+        WorkloadSpec {
             name: format!("alg1-{seed}"),
             seed,
             target_stmts: stmts,
@@ -32,8 +32,8 @@ fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
             family_fanout: 0,
             hard_family_ratio: 0.0,
             filler: true,
-        },
-    )
+        }
+    })
 }
 
 proptest! {

@@ -294,7 +294,11 @@ impl AuditRecord {
                 cert.insert("conjuncts".into(), conjuncts.clone().into());
                 cert.insert(
                     "conjunct_ids".into(),
-                    conjunct_ids.iter().map(|&i| i as u64).collect::<Vec<_>>().into(),
+                    conjunct_ids
+                        .iter()
+                        .map(|&i| i as u64)
+                        .collect::<Vec<_>>()
+                        .into(),
                 );
                 cert.insert(
                     "subsumed_by".into(),
@@ -404,7 +408,14 @@ impl AuditLog {
     /// Opens a pending detect-layer record for a materialized
     /// candidate; returns its audit id (= seq).
     pub fn begin_candidate(&mut self, kind: BugKind, source: Label, sink: Label) -> usize {
-        self.push(AuditLayer::Detect, Some(kind), source, Some(sink), None, None)
+        self.push(
+            AuditLayer::Detect,
+            Some(kind),
+            source,
+            Some(sink),
+            None,
+            None,
+        )
     }
 
     /// Records an immediately-terminal detect-layer disposition (e.g.
@@ -447,7 +458,14 @@ impl AuditLog {
         object: Option<String>,
         d: Disposition,
     ) {
-        self.push(AuditLayer::Interference, None, store, Some(load), object, Some(d));
+        self.push(
+            AuditLayer::Interference,
+            None,
+            store,
+            Some(load),
+            object,
+            Some(d),
+        );
     }
 
     fn push(
@@ -536,7 +554,10 @@ impl AuditLog {
     /// longer among the emitted reports to `Deduped`. Fingerprint-equal
     /// reports collapse to one survivor, so a dropped record's winner
     /// carries its own fingerprint.
-    pub fn apply_report_dedup(&mut self, kept: &std::collections::HashSet<(BugKind, Label, Label)>) {
+    pub fn apply_report_dedup(
+        &mut self,
+        kept: &std::collections::HashSet<(BugKind, Label, Label)>,
+    ) {
         for r in &mut self.records {
             let (Some(kind), Some(sink)) = (r.kind, r.sink) else {
                 continue;
@@ -575,8 +596,8 @@ impl AuditLog {
                 Some(Disposition::PrunedStoreOrder) => s.pruned_order += 1,
             }
         }
-        s.candidates = s.reported + s.deduped + s.prefiltered + s.unsat + s.memoized
-            + s.scope_filtered;
+        s.candidates =
+            s.reported + s.deduped + s.prefiltered + s.unsat + s.memoized + s.scope_filtered;
         if leaked.is_empty() {
             Ok(s)
         } else {

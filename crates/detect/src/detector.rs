@@ -350,8 +350,9 @@ pub fn check_kind_traced(
         (stats.candidate_paths - paths_before) as u64,
     );
     span.record("queries", candidates.len() as u64);
-    let (reports, refuted, profiles) =
-        validate(ctx, pool, candidates, opts, stats, kind, tracer, cache, audit);
+    let (reports, refuted, profiles) = validate(
+        ctx, pool, candidates, opts, stats, kind, tracer, cache, audit,
+    );
     span.record("confirmed", reports.len() as u64);
     span.finish();
     canary_trace::log(canary_trace::LogLevel::Debug, || {
@@ -477,12 +478,7 @@ fn validate(
             LANE_SMT,
             "smt.query",
             qi as u64,
-            || {
-                format!(
-                    "smt.query:{}:{}->{}",
-                    p.kind, p.source.0, p.sink.0
-                )
-            },
+            || format!("smt.query:{}:{}->{}", p.kind, p.source.0, p.sink.0),
             o.started,
             o.wall,
             || {
@@ -570,11 +566,9 @@ fn validate(
                 && refuted_seen.insert((cand.report.kind, cand.report.source, cand.report.sink))
             {
                 let core: Vec<String> = if cand.query == pool.ff() {
-                    vec![
-                        "constraints fold to false at construction (complementary \
+                    vec!["constraints fold to false at construction (complementary \
                          branch guards or order atoms)"
-                            .to_string(),
-                    ]
+                        .to_string()]
                 } else {
                     canary_smt::minimal_core(pool, cand.query, &opts.solver, &solver_stats)
                         .unwrap_or_default()
@@ -612,8 +606,11 @@ fn validate(
                 .iter()
                 .map(|&(i, v)| (canary_ir::CondId(i), v))
                 .collect();
-            let order: Vec<(Label, Label)> =
-                w.orders.iter().map(|&(a, b)| (Label(a), Label(b))).collect();
+            let order: Vec<(Label, Label)> = w
+                .orders
+                .iter()
+                .map(|&(a, b)| (Label(a), Label(b)))
+                .collect();
             let witness: Vec<Label> = w.events.into_iter().map(Label).collect();
             let schedule = crate::schedule::complete_schedule(
                 ctx.prog,
@@ -735,7 +732,9 @@ fn uaf_candidates(
         let Inst::Free { ptr } = ctx.prog.inst(free_label) else {
             continue;
         };
-        let Some(pn) = ctx.def_node(*ptr) else { continue };
+        let Some(pn) = ctx.def_node(*ptr) else {
+            continue;
+        };
         let free_guard = ctx.df.path_conds.guard(free_label);
         // Objects the freed pointer may reference.
         for obj in ctx.df.vfg.objects_reaching(pn) {
@@ -757,9 +756,7 @@ fn uaf_candidates(
             for p in paths {
                 stats.candidate_paths += 1;
                 let sink_node = *p.nodes.last().expect("paths are nonempty");
-                let Some(&(_, sink_label)) =
-                    sinks.iter().find(|&&(n, _)| n == sink_node)
-                else {
+                let Some(&(_, sink_label)) = sinks.iter().find(|&&(n, _)| n == sink_node) else {
                     continue;
                 };
                 if sink_label == free_label {
@@ -802,14 +799,10 @@ fn flow_candidates(
     let reach = SinkReach::compute(&ctx.df.vfg, &sink_set);
     let mut out = Vec::new();
     for &(src_var, src_label) in sources {
-        let Some(sn) = ctx
-            .df
-            .vfg
-            .find(NodeKind::Def {
-                var: src_var,
-                label: src_label,
-            })
-        else {
+        let Some(sn) = ctx.df.vfg.find(NodeKind::Def {
+            var: src_var,
+            label: src_label,
+        }) else {
             continue;
         };
         let src_guard = ctx.df.path_conds.guard(src_label);
@@ -1089,10 +1082,7 @@ fn conflict_lock_candidates(
         let inners: Vec<Label> = cyc.iter().map(|&(_, l, _)| l).collect();
         let mut labels = outers.clone();
         labels.extend(&inners);
-        let mut extra: Vec<TermId> = labels
-            .iter()
-            .map(|&l| ctx.df.path_conds.guard(l))
-            .collect();
+        let mut extra: Vec<TermId> = labels.iter().map(|&l| ctx.df.path_conds.guard(l)).collect();
         for &o in &outers {
             for &i in &inners {
                 if o != i {
@@ -1222,10 +1212,8 @@ fn finish_candidate(
         .iter()
         .map(|&n| ctx.df.vfg.kind(n).label())
         .collect();
-    let inter_thread = p.has_interference
-        || ctx
-            .ts
-            .may_be_in_distinct_threads(ctx.prog, source, sink);
+    let inter_thread =
+        p.has_interference || ctx.ts.may_be_in_distinct_threads(ctx.prog, source, sink);
     if opts.inter_thread_only && !inter_thread {
         audit.record_candidate(kind, source, sink, Disposition::ScopeFiltered);
         return None;

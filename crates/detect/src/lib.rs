@@ -183,10 +183,7 @@ mod tests {
 
     #[test]
     fn single_free_is_not_double() {
-        let reports = detect(
-            "fn main() { p = alloc o; free p; }",
-            BugKind::DoubleFree,
-        );
+        let reports = detect("fn main() { p = alloc o; free p; }", BugKind::DoubleFree);
         assert!(reports.is_empty(), "{reports:?}");
     }
 
@@ -259,10 +256,7 @@ mod tests {
 
     #[test]
     fn untainted_sink_is_clean() {
-        let reports = detect(
-            "fn main() { v = alloc o; sink v; }",
-            BugKind::DataLeak,
-        );
+        let reports = detect("fn main() { v = alloc o; sink v; }", BugKind::DataLeak);
         assert!(reports.is_empty(), "{reports:?}");
     }
 
@@ -335,7 +329,10 @@ mod tests {
         assert!(prov.mhp.iter().any(|m| m.parallel));
         // The confirmed finding carries the satisfying model slice,
         // consistent with the report's own schedule and guards.
-        let model = prov.model.as_ref().expect("sat candidate has a model slice");
+        let model = prov
+            .model
+            .as_ref()
+            .expect("sat candidate has a model slice");
         assert_eq!(model.schedule, reports[0].schedule);
         assert_eq!(model.guards, reports[0].guards);
         assert!(!model.order.is_empty());

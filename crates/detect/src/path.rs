@@ -151,8 +151,17 @@ pub fn enumerate_paths_budgeted(
     let mut on_path: HashSet<NodeId> = HashSet::new();
     on_path.insert(source);
     dfs(
-        vfg, source, sinks, reach, &limits, &mut nodes, &mut guards, &mut kinds, &mut on_path,
-        &mut out, &mut trunc,
+        vfg,
+        source,
+        sinks,
+        reach,
+        &limits,
+        &mut nodes,
+        &mut guards,
+        &mut kinds,
+        &mut on_path,
+        &mut out,
+        &mut trunc,
     );
     (out, trunc)
 }

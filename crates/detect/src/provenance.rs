@@ -231,11 +231,7 @@ impl Provenance {
         }
         if let Some(m) = &self.model {
             let sched: Vec<String> = m.schedule.iter().map(|l| l.to_string()).collect();
-            let guards: Vec<String> = m
-                .guards
-                .iter()
-                .map(|&(c, v)| format!("{c}={v}"))
-                .collect();
+            let guards: Vec<String> = m.guards.iter().map(|&(c, v)| format!("{c}={v}")).collect();
             let label = format!(
                 "model\\nschedule: {}\\nguards: {}",
                 sched.join(" "),

@@ -126,7 +126,11 @@ impl BugReport {
             "[{}] {} {}: {} in `{}` reaches {} in `{}`\n  path: {}\n  constraint: {}{}",
             scope,
             self.kind,
-            if self.inter_thread { "(concurrent)" } else { "" },
+            if self.inter_thread {
+                "(concurrent)"
+            } else {
+                ""
+            },
             canary_ir::render_inst(prog, self.source),
             src_fn,
             canary_ir::render_inst(prog, self.sink),
@@ -167,7 +171,10 @@ pub fn dedup_reports(prog: &Program, reports: Vec<BugReport>) -> Vec<BugReport> 
     }
     order
         .into_iter()
-        .map(|fp| best.remove(&fp).expect("every ordered fingerprint was inserted"))
+        .map(|fp| {
+            best.remove(&fp)
+                .expect("every ordered fingerprint was inserted")
+        })
         .collect()
 }
 
@@ -234,11 +241,7 @@ mod tests {
     #[test]
     fn dedup_keeps_shortest_witness_in_first_occurrence_order() {
         let prog = canary_ir::parse("fn main() { p = alloc o; free p; use p; }").unwrap();
-        let long = sample_report(
-            &prog,
-            vec!["p@l0".into(), "p@l2".into(), "p@l1".into()],
-            3,
-        );
+        let long = sample_report(&prog, vec!["p@l0".into(), "p@l2".into(), "p@l1".into()], 3);
         let short = sample_report(&prog, vec!["p@l0".into(), "p@l1".into()], 2);
         // Same fingerprint class only if the shape matches; the 3-step
         // and 2-step paths differ in shape, so craft two same-shape

@@ -69,8 +69,10 @@ pub fn complete_schedule(
     // model's witness chain.
     let mut succs: BTreeMap<Label, BTreeSet<Label>> = BTreeMap::new();
     let mut indeg: BTreeMap<Label, usize> = events.iter().map(|&e| (e, 0)).collect();
-    let add_edge = |a: Label, b: Label, succs: &mut BTreeMap<Label, BTreeSet<Label>>,
-                        indeg: &mut BTreeMap<Label, usize>| {
+    let add_edge = |a: Label,
+                    b: Label,
+                    succs: &mut BTreeMap<Label, BTreeSet<Label>>,
+                    indeg: &mut BTreeMap<Label, usize>| {
         if a != b && succs.entry(a).or_default().insert(b) {
             *indeg.get_mut(&b).expect("edge target is an event") += 1;
         }
@@ -186,7 +188,14 @@ mod tests {
         let og = OrderGraph::build(&prog, &cg);
         let free = prog.free_sites()[0];
         let deref = prog.deref_sites()[0];
-        let sched = complete_schedule(&prog, &og, MemoryModel::Sc, &[free, deref, free], free, deref);
+        let sched = complete_schedule(
+            &prog,
+            &og,
+            MemoryModel::Sc,
+            &[free, deref, free],
+            free,
+            deref,
+        );
         let set: BTreeSet<Label> = sched.iter().copied().collect();
         assert_eq!(set.len(), sched.len());
     }

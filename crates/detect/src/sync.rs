@@ -78,9 +78,7 @@ impl SyncModel {
                 if !aliasing(lobjs, uobjs) {
                     continue;
                 }
-                if og.happens_before(*ll, *ul)
-                    && best.is_none_or(|b| og.happens_before(*ul, b))
-                {
+                if og.happens_before(*ll, *ul) && best.is_none_or(|b| og.happens_before(*ul, b)) {
                     best = Some(*ul);
                 }
             }
@@ -139,9 +137,7 @@ impl SyncModel {
         }
         // Waits that precede a query event require a prior notify.
         for (wl, wobjs) in &self.waits {
-            let gates = evs
-                .iter()
-                .any(|&e| e == *wl || og.happens_before(*wl, e));
+            let gates = evs.iter().any(|&e| e == *wl || og.happens_before(*wl, e));
             if !gates {
                 continue;
             }

@@ -314,7 +314,10 @@ impl FuncBody<'_> {
     /// `(dsts) = call name(args)` by function name (resolved at finish
     /// time by name; unknown names become indirect via a fresh variable).
     pub fn call(&mut self, dsts: &[&str], callee: &str, args: &[VarId]) -> Vec<VarId> {
-        let ds: Vec<VarId> = dsts.iter().map(|d| self.b.intern_var(self.func, d)).collect();
+        let ds: Vec<VarId> = dsts
+            .iter()
+            .map(|d| self.b.intern_var(self.func, d))
+            .collect();
         let callee = match self.b.prog.func_by_name(callee) {
             Some(f) => Callee::Direct(f),
             None => Callee::Indirect(self.b.intern_var(self.func, callee)),
@@ -329,7 +332,10 @@ impl FuncBody<'_> {
 
     /// `(dsts) = call f(args)` with a known function id.
     pub fn call_direct(&mut self, dsts: &[&str], callee: FuncId, args: &[VarId]) -> Vec<VarId> {
-        let ds: Vec<VarId> = dsts.iter().map(|d| self.b.intern_var(self.func, d)).collect();
+        let ds: Vec<VarId> = dsts
+            .iter()
+            .map(|d| self.b.intern_var(self.func, d))
+            .collect();
         self.push(Inst::Call {
             dsts: ds.clone(),
             callee: Callee::Direct(callee),
@@ -543,10 +549,7 @@ mod tests {
         prog.validate().unwrap();
         let func = prog.func(main);
         assert_eq!(func.blocks.len(), 4);
-        assert!(matches!(
-            func.blocks[0].term,
-            Terminator::Branch { .. }
-        ));
+        assert!(matches!(func.blocks[0].term, Terminator::Branch { .. }));
         // The nop lands in the join block.
         assert_eq!(func.blocks[3].stmts.len(), 1);
     }

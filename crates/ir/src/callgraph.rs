@@ -473,8 +473,7 @@ impl CallGraph {
         let mut tasks: Vec<Vec<FuncId>> = comps
             .iter()
             .map(|members| {
-                let mut ms: Vec<FuncId> =
-                    members.iter().map(|&i| FuncId::new(i as u32)).collect();
+                let mut ms: Vec<FuncId> = members.iter().map(|&i| FuncId::new(i as u32)).collect();
                 ms.sort_by_key(|f| pos_of[f]);
                 ms
             })

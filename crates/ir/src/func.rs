@@ -198,8 +198,7 @@ mod tests {
     fn rpo_visits_predecessors_before_join() {
         let f = diamond();
         let rpo = f.reverse_post_order();
-        let pos =
-            |b: BlockId| rpo.iter().position(|&x| x == b).unwrap();
+        let pos = |b: BlockId| rpo.iter().position(|&x| x == b).unwrap();
         assert!(pos(BlockId::new(1)) < pos(BlockId::new(3)));
         assert!(pos(BlockId::new(2)) < pos(BlockId::new(3)));
     }

@@ -520,8 +520,7 @@ mod tests {
 
     #[test]
     fn branch_arms_are_unordered() {
-        let prog =
-            parse("fn main() { p = alloc o; if (c) { free p; } else { use p; } }").unwrap();
+        let prog = parse("fn main() { p = alloc o; if (c) { free p; } else { use p; } }").unwrap();
         let cg = CallGraph::build(&prog);
         let og = OrderGraph::build(&prog, &cg);
         let free = prog.free_sites()[0];

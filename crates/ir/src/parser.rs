@@ -105,9 +105,9 @@ enum Tok {
     RBrace,
     Semi,
     Comma,
-    Eq,     // =
-    Star,   // *
-    Bang,   // !
+    Eq,   // =
+    Star, // *
+    Bang, // !
     Plus,
     Minus,
     Amp,
@@ -142,47 +142,80 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
                 }
             }
             '(' => {
-                out.push(SpannedTok { tok: Tok::LParen, line });
+                out.push(SpannedTok {
+                    tok: Tok::LParen,
+                    line,
+                });
                 i += 1;
             }
             ')' => {
-                out.push(SpannedTok { tok: Tok::RParen, line });
+                out.push(SpannedTok {
+                    tok: Tok::RParen,
+                    line,
+                });
                 i += 1;
             }
             '{' => {
-                out.push(SpannedTok { tok: Tok::LBrace, line });
+                out.push(SpannedTok {
+                    tok: Tok::LBrace,
+                    line,
+                });
                 i += 1;
             }
             '}' => {
-                out.push(SpannedTok { tok: Tok::RBrace, line });
+                out.push(SpannedTok {
+                    tok: Tok::RBrace,
+                    line,
+                });
                 i += 1;
             }
             ';' => {
-                out.push(SpannedTok { tok: Tok::Semi, line });
+                out.push(SpannedTok {
+                    tok: Tok::Semi,
+                    line,
+                });
                 i += 1;
             }
             ',' => {
-                out.push(SpannedTok { tok: Tok::Comma, line });
+                out.push(SpannedTok {
+                    tok: Tok::Comma,
+                    line,
+                });
                 i += 1;
             }
             '*' => {
-                out.push(SpannedTok { tok: Tok::Star, line });
+                out.push(SpannedTok {
+                    tok: Tok::Star,
+                    line,
+                });
                 i += 1;
             }
             '+' => {
-                out.push(SpannedTok { tok: Tok::Plus, line });
+                out.push(SpannedTok {
+                    tok: Tok::Plus,
+                    line,
+                });
                 i += 1;
             }
             '-' => {
-                out.push(SpannedTok { tok: Tok::Minus, line });
+                out.push(SpannedTok {
+                    tok: Tok::Minus,
+                    line,
+                });
                 i += 1;
             }
             '&' => {
-                out.push(SpannedTok { tok: Tok::Amp, line });
+                out.push(SpannedTok {
+                    tok: Tok::Amp,
+                    line,
+                });
                 i += 1;
             }
             '|' => {
-                out.push(SpannedTok { tok: Tok::Pipe, line });
+                out.push(SpannedTok {
+                    tok: Tok::Pipe,
+                    line,
+                });
                 i += 1;
             }
             '>' => {
@@ -191,7 +224,10 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
             }
             '=' => {
                 if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(SpannedTok { tok: Tok::EqEq, line });
+                    out.push(SpannedTok {
+                        tok: Tok::EqEq,
+                        line,
+                    });
                     i += 2;
                 } else {
                     out.push(SpannedTok { tok: Tok::Eq, line });
@@ -200,10 +236,16 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
             }
             '!' => {
                 if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(SpannedTok { tok: Tok::BangEq, line });
+                    out.push(SpannedTok {
+                        tok: Tok::BangEq,
+                        line,
+                    });
                     i += 2;
                 } else {
-                    out.push(SpannedTok { tok: Tok::Bang, line });
+                    out.push(SpannedTok {
+                        tok: Tok::Bang,
+                        line,
+                    });
                     i += 1;
                 }
             }
@@ -603,7 +645,10 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_arg_list(&mut self, f: &mut FuncBody<'_>) -> Result<Vec<crate::ids::VarId>, ParseError> {
+    fn parse_arg_list(
+        &mut self,
+        f: &mut FuncBody<'_>,
+    ) -> Result<Vec<crate::ids::VarId>, ParseError> {
         self.expect(&Tok::LParen)?;
         let mut args = Vec::new();
         if self.peek() != Some(&Tok::RParen) {
@@ -865,11 +910,7 @@ mod tests {
     #[test]
     fn while_unroll_factor_respected() {
         let src = "fn main() { p = alloc o; while (c) { use p; } }";
-        let prog = parse_with(
-            src,
-            &ParseOptions { loop_unroll: 4 },
-        )
-        .unwrap();
+        let prog = parse_with(src, &ParseOptions { loop_unroll: 4 }).unwrap();
         assert_eq!(prog.deref_sites().len(), 4);
     }
 

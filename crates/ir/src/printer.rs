@@ -24,11 +24,7 @@ pub fn print_program(prog: &Program) -> String {
 /// Renders one function into `out`.
 pub fn print_func(prog: &Program, f: FuncId, out: &mut String) {
     let func = prog.func(f);
-    let params: Vec<&str> = func
-        .params
-        .iter()
-        .map(|&p| prog.var_name(p))
-        .collect();
+    let params: Vec<&str> = func.params.iter().map(|&p| prog.var_name(p)).collect();
     let _ = writeln!(out, "fn {}({}) {{", func.name, params.join(", "));
     for (bi, block) in func.blocks.iter().enumerate() {
         let _ = writeln!(out, "  {}:", BlockId::new(bi as u32));

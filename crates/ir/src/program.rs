@@ -276,13 +276,13 @@ impl Program {
         for l in self.labels() {
             match self.inst(l) {
                 Inst::Fork { thread, .. } | Inst::Join { thread }
-                    if thread.index() >= self.threads.len() => {
-                        return Err(E::DanglingThread(l, *thread));
-                    }
-                Inst::Alloc { obj, .. }
-                    if obj.index() >= self.objs.len() => {
-                        return Err(E::DanglingObj(l, *obj));
-                    }
+                    if thread.index() >= self.threads.len() =>
+                {
+                    return Err(E::DanglingThread(l, *thread));
+                }
+                Inst::Alloc { obj, .. } if obj.index() >= self.objs.len() => {
+                    return Err(E::DanglingObj(l, *obj));
+                }
                 _ => {}
             }
         }

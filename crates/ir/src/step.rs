@@ -139,7 +139,10 @@ mod tests {
         };
         assert_eq!(l1, Label::new(1));
         cur.advance();
-        assert!(matches!(cur.point(&prog), StepPoint::Term(Terminator::Exit)));
+        assert!(matches!(
+            cur.point(&prog),
+            StepPoint::Term(Terminator::Exit)
+        ));
     }
 
     #[test]
@@ -179,10 +182,8 @@ mod tests {
 
     #[test]
     fn block_reaches_rejects_other_functions() {
-        let prog = crate::parse(
-            "fn main() { fork t w(); } fn w() { p = alloc o; free p; }",
-        )
-        .unwrap();
+        let prog =
+            crate::parse("fn main() { fork t w(); } fn w() { p = alloc o; free p; }").unwrap();
         let main = prog.entry.unwrap();
         let free = prog.free_sites()[0];
         assert!(!block_reaches(&prog, main, prog.func(main).entry, free));

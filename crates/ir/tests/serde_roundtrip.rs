@@ -67,10 +67,7 @@ fn all_statement_kinds_roundtrip() {
 #[test]
 fn generated_workload_roundtrips() {
     // Roundtrip stability over a nontrivial generated program.
-    let prog = parse(
-        "fn main() { p = alloc o; fork t w(p); free p; } fn w(q) { use q; }",
-    )
-    .unwrap();
+    let prog = parse("fn main() { p = alloc o; fork t w(p); free p; } fn w(q) { use q; }").unwrap();
     let json1 = serde_json::to_string(&prog).unwrap();
     let back: Program = serde_json::from_str(&json1).unwrap();
     let json2 = serde_json::to_string(&back).unwrap();

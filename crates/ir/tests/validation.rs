@@ -3,8 +3,8 @@
 //! message.
 
 use canary_ir::{
-    parse, BasicBlock, BlockId, CondExpr, FuncId, Inst, Label, Program, ProgramBuilder,
-    Terminator, ValidationError, VarId,
+    parse, BasicBlock, BlockId, CondExpr, FuncId, Inst, Label, Program, ProgramBuilder, Terminator,
+    ValidationError, VarId,
 };
 
 fn valid_base() -> Program {

@@ -180,9 +180,7 @@ mod tests {
         // single execution takes both arms, so no double-free; but the
         // UAF in the c-arm (free then use of same pointer later) also
         // cannot happen. Check the guarded free alone fires nothing.
-        let e = explored(
-            "fn main() { p = alloc o; if (c) { free p; } use p; }",
-        );
+        let e = explored("fn main() { p = alloc o; if (c) { free p; } use p; }");
         // In the c=true world this IS a sequential UAF; enumeration
         // must find it, and only it.
         assert_eq!(e.hits.len(), 1);

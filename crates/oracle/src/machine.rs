@@ -273,9 +273,7 @@ impl Machine {
                         }
                         Inst::Lock { mutex } => match self.env[mutex.index()] {
                             Value::Addr(a)
-                                if self.heap[a]
-                                    .owner
-                                    .is_some_and(|(holder, _)| holder != t) =>
+                                if self.heap[a].owner.is_some_and(|(holder, _)| holder != t) =>
                             {
                                 Poll::Blocked(l)
                             }
@@ -395,8 +393,7 @@ impl Machine {
             }
             Inst::Call { dsts, callee, args } => match self.resolve(&callee) {
                 Some(f) => {
-                    let vals: Vec<Value> =
-                        args.iter().map(|a| self.env[a.index()]).collect();
+                    let vals: Vec<Value> = args.iter().map(|a| self.env[a.index()]).collect();
                     for (p, v) in prog.func(f).params.iter().zip(vals) {
                         self.env[p.index()] = v;
                     }
@@ -681,9 +678,7 @@ mod tests {
 
     #[test]
     fn taint_flows_through_the_heap() {
-        let (_, hits) = run_single(
-            "fn main() { c = alloc o; s = taint; *c = s; x = *c; sink x; }",
-        );
+        let (_, hits) = run_single("fn main() { c = alloc o; s = taint; *c = s; x = *c; sink x; }");
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].kind, BugKind::DataLeak);
     }

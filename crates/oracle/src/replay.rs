@@ -337,11 +337,7 @@ pub fn replay_under(
 }
 
 /// Replays a detector report under an explicit memory model.
-pub fn replay_report_under(
-    prog: &Program,
-    model: MemoryModel,
-    report: &BugReport,
-) -> ReplayResult {
+pub fn replay_report_under(prog: &Program, model: MemoryModel, report: &BugReport) -> ReplayResult {
     replay_under(
         prog,
         model,
@@ -395,7 +391,11 @@ fn steer(
     else {
         return None;
     };
-    let CondExpr::Atom { cond: atom, negated } = *cond else {
+    let CondExpr::Atom {
+        cond: atom,
+        negated,
+    } = *cond
+    else {
         return None;
     };
     if atom != c {
@@ -475,7 +475,15 @@ mod tests {
             assert!(r.confirmed(), "{model:?}: {r:?}");
         }
         // SC delegates to the deterministic eager loop: no double-free.
-        let r = replay_under(&prog, MemoryModel::Sc, BugKind::DoubleFree, lo, hi, &[], &[]);
+        let r = replay_under(
+            &prog,
+            MemoryModel::Sc,
+            BugKind::DoubleFree,
+            lo,
+            hi,
+            &[],
+            &[],
+        );
         assert!(!r.confirmed(), "{r:?}");
     }
 

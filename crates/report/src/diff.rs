@@ -174,7 +174,10 @@ mod tests {
 
     #[test]
     fn classifies_new_fixed_persisting() {
-        let base = doc(&[("aaaa", "canary/use-after-free"), ("bbbb", "canary/data-leak")]);
+        let base = doc(&[
+            ("aaaa", "canary/use-after-free"),
+            ("bbbb", "canary/data-leak"),
+        ]);
         let cur = doc(&[("bbbb", "canary/data-leak"), ("cccc", "canary/double-free")]);
         let d = diff_sarif(&base, &cur).unwrap();
         assert_eq!(d.new.len(), 1);

@@ -487,10 +487,14 @@ mod tests {
         let runs = doc.get("runs").unwrap().as_array().unwrap();
         assert_eq!(runs.len(), 1);
         let rules = runs[0]
-            .get("tool").unwrap()
-            .get("driver").unwrap()
-            .get("rules").unwrap()
-            .as_array().unwrap();
+            .get("tool")
+            .unwrap()
+            .get("driver")
+            .unwrap()
+            .get("rules")
+            .unwrap()
+            .as_array()
+            .unwrap();
         assert_eq!(rules.len(), 6);
         assert_eq!(
             rules[0].get("id").unwrap().as_str().unwrap(),
@@ -504,9 +508,12 @@ mod tests {
                 rep.kind as u64
             );
             let fp = res
-                .get("partialFingerprints").unwrap()
-                .get(FINGERPRINT_KEY).unwrap()
-                .as_str().unwrap();
+                .get("partialFingerprints")
+                .unwrap()
+                .get(FINGERPRINT_KEY)
+                .unwrap()
+                .as_str()
+                .unwrap();
             assert_eq!(fp, rep.fingerprint(&prog).to_string());
         }
     }
@@ -526,9 +533,18 @@ mod tests {
         .unwrap();
         let s = serde_json::to_string(&doc).unwrap();
         let flows = doc.get("runs").unwrap().as_array().unwrap()[0]
-            .get("results").unwrap().as_array().unwrap()[0]
-            .get("codeFlows").unwrap().as_array().unwrap()[0]
-            .get("threadFlows").unwrap().as_array().unwrap();
+            .get("results")
+            .unwrap()
+            .as_array()
+            .unwrap()[0]
+            .get("codeFlows")
+            .unwrap()
+            .as_array()
+            .unwrap()[0]
+            .get("threadFlows")
+            .unwrap()
+            .as_array()
+            .unwrap();
         // The racy program has a main thread and one forked thread.
         assert_eq!(flows.len(), 2, "{s}");
         let ids: Vec<&str> = flows
@@ -552,13 +568,19 @@ mod tests {
         let (prog, reports) = analyze(RACY);
         let doc = serde_json::to_value(&sarif_document(&prog, &reports, &manifest())).unwrap();
         let inv = &doc.get("runs").unwrap().as_array().unwrap()[0]
-            .get("invocations").unwrap().as_array().unwrap()[0];
+            .get("invocations")
+            .unwrap()
+            .as_array()
+            .unwrap()[0];
         let props = inv.get("properties").unwrap();
         assert_eq!(
             props.get("corpusHash").unwrap().as_str().unwrap(),
             "deadbeefdeadbeef"
         );
-        assert_eq!(props.get("strategy").unwrap().as_str().unwrap(), "incremental");
+        assert_eq!(
+            props.get("strategy").unwrap().as_str().unwrap(),
+            "incremental"
+        );
         assert_eq!(props.get("threads").unwrap().as_u64().unwrap(), 1);
         assert!(props.get("timings").unwrap().get("detect").is_some());
         assert!(props.get("config").unwrap().get("memory_model").is_some());
@@ -614,7 +636,10 @@ mod tests {
         assert!(reports.is_empty());
         let doc = serde_json::to_value(&sarif_document(&prog, &reports, &manifest())).unwrap();
         let results = doc.get("runs").unwrap().as_array().unwrap()[0]
-            .get("results").unwrap().as_array().unwrap();
+            .get("results")
+            .unwrap()
+            .as_array()
+            .unwrap();
         assert!(results.is_empty());
     }
 }

@@ -104,10 +104,7 @@ pub fn gate_of(pool: &TermPool, t: TermId, solver: &mut SatSolver, enc: &mut Enc
         }
         Node::BoolAtom(i) => {
             let i = *i;
-            let v = *enc
-                .bool_vars
-                .entry(i)
-                .or_insert_with(|| solver.new_var());
+            let v = *enc.bool_vars.entry(i).or_insert_with(|| solver.new_var());
             Lit::pos(v)
         }
         Node::Order(a, b) => {

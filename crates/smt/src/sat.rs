@@ -464,7 +464,10 @@ impl SatSolver {
             }
         }
         let mut core = Vec::new();
-        let start = self.trail_lim.first().map_or(self.trail.len(), |&s| s as usize);
+        let start = self
+            .trail_lim
+            .first()
+            .map_or(self.trail.len(), |&s| s as usize);
         for i in (start..self.trail.len()).rev() {
             let v = self.trail[i].var();
             if !seen[v.index()] {
@@ -596,11 +599,7 @@ impl SatSolver {
             } else {
                 match self.pick_branch() {
                     None => {
-                        let model = self
-                            .assign
-                            .iter()
-                            .map(|&a| a == LBool::True)
-                            .collect();
+                        let model = self.assign.iter().map(|&a| a == LBool::True).collect();
                         return SatResult::Sat(model);
                     }
                     Some(l) => {

@@ -271,12 +271,9 @@ impl TermPool {
             if let (Node::And(xs), Node::And(ys)) =
                 (self.node(parts[0]).clone(), self.node(parts[1]).clone())
             {
-                let common: Vec<TermId> =
-                    xs.iter().copied().filter(|x| ys.contains(x)).collect();
-                let dx: Vec<TermId> =
-                    xs.iter().copied().filter(|x| !common.contains(x)).collect();
-                let dy: Vec<TermId> =
-                    ys.iter().copied().filter(|y| !common.contains(y)).collect();
+                let common: Vec<TermId> = xs.iter().copied().filter(|x| ys.contains(x)).collect();
+                let dx: Vec<TermId> = xs.iter().copied().filter(|x| !common.contains(x)).collect();
+                let dy: Vec<TermId> = ys.iter().copied().filter(|y| !common.contains(y)).collect();
                 if dx.len() == 1 && dy.len() == 1 && self.not(dx[0]) == dy[0] {
                     return self.and(common);
                 }

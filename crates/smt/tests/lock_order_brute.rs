@@ -45,7 +45,10 @@ fn next_permutation(perm: &mut [usize]) -> bool {
     let Some(i) = (0..n - 1).rev().find(|&i| perm[i] < perm[i + 1]) else {
         return false;
     };
-    let j = (i + 1..n).rev().find(|&j| perm[j] > perm[i]).expect("exists");
+    let j = (i + 1..n)
+        .rev()
+        .find(|&j| perm[j] > perm[i])
+        .expect("exists");
     perm.swap(i, j);
     perm[i + 1..].reverse();
     true

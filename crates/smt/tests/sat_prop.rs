@@ -8,9 +8,7 @@ use canary_smt::{Lit, SatResult, SatSolver, Var};
 type Cnf = Vec<Vec<i32>>;
 
 fn cnf_strategy(max_vars: i32) -> impl Strategy<Value = Cnf> {
-    let lit = (1..=max_vars).prop_flat_map(|v| {
-        prop_oneof![Just(v), Just(-v)]
-    });
+    let lit = (1..=max_vars).prop_flat_map(|v| prop_oneof![Just(v), Just(-v)]);
     let clause = prop::collection::vec(lit, 1..4);
     prop::collection::vec(clause, 0..24)
 }

@@ -43,7 +43,10 @@ fn next_permutation(perm: &mut [usize]) -> bool {
     let Some(i) = (0..n - 1).rev().find(|&i| perm[i] < perm[i + 1]) else {
         return false;
     };
-    let j = (i + 1..n).rev().find(|&j| perm[j] > perm[i]).expect("exists");
+    let j = (i + 1..n)
+        .rev()
+        .find(|&j| perm[j] > perm[i])
+        .expect("exists");
     perm.swap(i, j);
     perm[i + 1..].reverse();
     true
@@ -63,10 +66,16 @@ fn check_against_brute(pairs: &[(u32, u32)]) {
     let truth = embeds_in_total_order(pairs);
     match check_orders(&as_edges(pairs)) {
         TheoryResult::Consistent => {
-            assert!(truth, "checker said consistent, brute force disagrees: {pairs:?}");
+            assert!(
+                truth,
+                "checker said consistent, brute force disagrees: {pairs:?}"
+            );
         }
         TheoryResult::Conflict(atoms) => {
-            assert!(!truth, "checker said conflict, brute force disagrees: {pairs:?}");
+            assert!(
+                !truth,
+                "checker said conflict, brute force disagrees: {pairs:?}"
+            );
             let core: Vec<(u32, u32)> = atoms.iter().map(|&i| pairs[i]).collect();
             assert!(
                 !embeds_in_total_order(&core),

@@ -243,11 +243,11 @@ impl Tracer {
 
     /// All collected events in deterministic export order.
     pub fn events(&self) -> Vec<Event> {
-        let Some(col) = &self.0 else { return Vec::new() };
+        let Some(col) = &self.0 else {
+            return Vec::new();
+        };
         let mut evs = col.drain_snapshot();
-        evs.sort_by(|a, b| {
-            (a.lane, a.cat, a.key, &a.name).cmp(&(b.lane, b.cat, b.key, &b.name))
-        });
+        evs.sort_by(|a, b| (a.lane, a.cat, a.key, &a.name).cmp(&(b.lane, b.cat, b.key, &b.name)));
         evs
     }
 
@@ -438,8 +438,7 @@ mod tests {
         assert!(!called, "disabled span must not format its name");
         assert!(t.events().is_empty());
         assert_eq!(
-            serde_json::from_str::<serde_json::Value>(&t.export_chrome()).unwrap()
-                ["traceEvents"]
+            serde_json::from_str::<serde_json::Value>(&t.export_chrome()).unwrap()["traceEvents"]
                 .as_array()
                 .unwrap()
                 .len(),

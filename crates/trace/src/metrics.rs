@@ -159,12 +159,18 @@ impl MetricsRegistry {
     }
 
     fn family_mut(&mut self, name: &str, kind: MetricKind, help: &str) -> &mut Family {
-        let f = self.families.entry(name.to_string()).or_insert_with(|| Family {
-            kind,
-            help: help.to_string(),
-            samples: BTreeMap::new(),
-        });
-        debug_assert_eq!(f.kind, kind, "metric family {name} re-registered with a new kind");
+        let f = self
+            .families
+            .entry(name.to_string())
+            .or_insert_with(|| Family {
+                kind,
+                help: help.to_string(),
+                samples: BTreeMap::new(),
+            });
+        debug_assert_eq!(
+            f.kind, kind,
+            "metric family {name} re-registered with a new kind"
+        );
         f
     }
 
@@ -209,7 +215,10 @@ impl MetricsRegistry {
             Sample::Hist(h) => h,
             Sample::Value(_) => unreachable!("histogram family holds histogram samples"),
         };
-        debug_assert_eq!(h.bounds, bounds, "histogram {name} observed with new bounds");
+        debug_assert_eq!(
+            h.bounds, bounds,
+            "histogram {name} observed with new bounds"
+        );
         match h.bounds.iter().position(|&b| value <= b) {
             Some(i) => h.counts[i] += 1,
             None => h.inf += 1,
@@ -407,9 +416,7 @@ pub fn normalize_registry_json(doc: &mut serde_json::Value, cross_strategy: bool
     let Some(serde_json::Value::Array(families)) = top.get_mut("families") else {
         return;
     };
-    families.retain(|fam| {
-        !fam["name"].as_str().is_some_and(family_is_volatile)
-    });
+    families.retain(|fam| !fam["name"].as_str().is_some_and(family_is_volatile));
     for fam in families {
         let zero = fam["name"].as_str().is_some_and(|name| {
             family_is_config(name) || (cross_strategy && family_is_strategy_sensitive(name))
@@ -417,12 +424,16 @@ pub fn normalize_registry_json(doc: &mut serde_json::Value, cross_strategy: bool
         if !zero {
             continue;
         }
-        let serde_json::Value::Object(fam) = fam else { continue };
+        let serde_json::Value::Object(fam) = fam else {
+            continue;
+        };
         let Some(serde_json::Value::Array(samples)) = fam.get_mut("samples") else {
             continue;
         };
         for s in samples {
-            let serde_json::Value::Object(obj) = s else { continue };
+            let serde_json::Value::Object(obj) = s else {
+                continue;
+            };
             if obj.contains_key("value") {
                 obj.insert("value".into(), serde_json::json!(0.0));
             }
@@ -504,9 +515,18 @@ mod tests {
             reg.observe("h", "hist", &[("kind", "uaf")], &[1.0, 4.0], v);
         }
         let text = reg.to_openmetrics();
-        assert!(text.contains("h_bucket{kind=\"uaf\",le=\"1\"} 1\n"), "{text}");
-        assert!(text.contains("h_bucket{kind=\"uaf\",le=\"4\"} 2\n"), "{text}");
-        assert!(text.contains("h_bucket{kind=\"uaf\",le=\"+Inf\"} 3\n"), "{text}");
+        assert!(
+            text.contains("h_bucket{kind=\"uaf\",le=\"1\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("h_bucket{kind=\"uaf\",le=\"4\"} 2\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("h_bucket{kind=\"uaf\",le=\"+Inf\"} 3\n"),
+            "{text}"
+        );
         assert!(text.contains("h_sum{kind=\"uaf\"} 103.5\n"), "{text}");
         assert!(text.contains("h_count{kind=\"uaf\"} 3\n"), "{text}");
     }
@@ -520,7 +540,13 @@ mod tests {
         reg.set_gauge(gauge.0, gauge.1, &[("phase", "a\"b\\c")], 2.5);
         let hist = ("canary_query_decisions", "decisions per query");
         for v in [0.5, 3.0, 100.0] {
-            reg.observe(hist.0, hist.1, &[("kind", "use-after-free")], &[1.0, 4.0], v);
+            reg.observe(
+                hist.0,
+                hist.1,
+                &[("kind", "use-after-free")],
+                &[1.0, 4.0],
+                v,
+            );
         }
         reg.observe("canary_wait_seconds", "wait", &[], &[0.25], 0.125);
         let want: String = [
@@ -569,8 +595,18 @@ mod tests {
     #[test]
     fn volatile_families_are_dropped_wholesale() {
         let mut reg = MetricsRegistry::new();
-        reg.set_gauge("canary_phase_wall_seconds", "wall", &[("phase", "alg1")], 1.25);
-        reg.set_gauge("canary_phase_peak_rss_bytes", "rss", &[("phase", "alg1")], 4096.0);
+        reg.set_gauge(
+            "canary_phase_wall_seconds",
+            "wall",
+            &[("phase", "alg1")],
+            1.25,
+        );
+        reg.set_gauge(
+            "canary_phase_peak_rss_bytes",
+            "rss",
+            &[("phase", "alg1")],
+            4096.0,
+        );
         reg.set_gauge("canary_vfg_nodes", "nodes", &[], 11.0);
         reg.add_counter("canary_solver_decisions", "cdcl", &[], 9.0);
         let text = reg.to_openmetrics();
@@ -606,7 +642,10 @@ mod tests {
         normalize_registry_json(&mut doc, false);
         let fams = doc["families"].as_array().unwrap();
         assert!(!fams.iter().any(|f| f["name"] == "canary_smt_query_seconds"));
-        let gauge = fams.iter().find(|f| f["name"] == "canary_vfg_nodes").unwrap();
+        let gauge = fams
+            .iter()
+            .find(|f| f["name"] == "canary_vfg_nodes")
+            .unwrap();
         assert_eq!(gauge["samples"][0]["value"].as_f64(), Some(5.0));
     }
 
@@ -634,7 +673,12 @@ mod tests {
     fn config_echo_families_are_normalized() {
         let mut reg = MetricsRegistry::new();
         reg.set_gauge("canary_worker_threads", "threads", &[], 4.0);
-        reg.set_gauge("canary_phase_workers", "workers", &[("phase", "detect")], 4.0);
+        reg.set_gauge(
+            "canary_phase_workers",
+            "workers",
+            &[("phase", "detect")],
+            4.0,
+        );
         reg.set_gauge("canary_phase_tasks", "tasks", &[("phase", "detect")], 7.0);
         let norm = normalize_openmetrics(&reg.to_openmetrics(), false);
         assert!(norm.contains("canary_worker_threads 0\n"));
@@ -648,7 +692,10 @@ mod tests {
             .find(|f| f["name"] == "canary_worker_threads")
             .unwrap();
         assert_eq!(threads["samples"][0]["value"].as_f64(), Some(0.0));
-        let tasks = fams.iter().find(|f| f["name"] == "canary_phase_tasks").unwrap();
+        let tasks = fams
+            .iter()
+            .find(|f| f["name"] == "canary_phase_tasks")
+            .unwrap();
         assert_eq!(tasks["samples"][0]["value"].as_f64(), Some(7.0));
     }
 }

@@ -199,12 +199,16 @@ impl Vfg {
 
     /// Outgoing edges of `n`.
     pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = &Edge> {
-        self.succs[n.index()].iter().map(|&i| &self.edges[i as usize])
+        self.succs[n.index()]
+            .iter()
+            .map(|&i| &self.edges[i as usize])
     }
 
     /// Incoming edges of `n`.
     pub fn in_edges(&self, n: NodeId) -> impl Iterator<Item = &Edge> {
-        self.preds[n.index()].iter().map(|&i| &self.edges[i as usize])
+        self.preds[n.index()]
+            .iter()
+            .map(|&i| &self.edges[i as usize])
     }
 
     /// All nodes.

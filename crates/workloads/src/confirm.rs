@@ -21,11 +21,7 @@ pub fn confirm_seeded(prog: &Program, bug: &SeededBug) -> ReplayResult {
 
 /// Replays one seeded bug's schedule under an explicit memory model —
 /// weak-memory litmus seeds only confirm on the store-buffer machine.
-pub fn confirm_seeded_under(
-    prog: &Program,
-    model: MemoryModel,
-    bug: &SeededBug,
-) -> ReplayResult {
+pub fn confirm_seeded_under(prog: &Program, model: MemoryModel, bug: &SeededBug) -> ReplayResult {
     replay_under(
         prog,
         model,

@@ -599,16 +599,22 @@ pub fn generate(spec: &WorkloadSpec) -> Workload {
     // a double-free — only when both stores are still buffered as the
     // sibling loads run, so the ground-truth schedule places the store
     // slots (= flush points under a weak replay) after both loads.
-    for (i, &[store_a, load_a, free_a, store_b, load_b, free_b]) in
-        sb_partial.iter().enumerate()
-    {
+    for (i, &[store_a, load_a, free_a, store_b, load_b, free_b]) in sb_partial.iter().enumerate() {
         let flag_x = f.alloc(&format!("sbx_{i}"), &format!("sbx_o_{i}"));
         let flag_y = f.alloc(&format!("sby_{i}"), &format!("sby_o_{i}"));
         let victim = f.alloc(&format!("sbp_{i}"), &format!("sbp_o_{i}"));
         f.store(flag_x, victim);
         f.store(flag_y, victim);
-        f.fork(&format!("sbta_{i}"), &format!("sb_a_{i}"), &[flag_x, flag_y]);
-        f.fork(&format!("sbtb_{i}"), &format!("sb_b_{i}"), &[flag_y, flag_x]);
+        f.fork(
+            &format!("sbta_{i}"),
+            &format!("sb_a_{i}"),
+            &[flag_x, flag_y],
+        );
+        f.fork(
+            &format!("sbtb_{i}"),
+            &format!("sb_b_{i}"),
+            &[flag_y, flag_x],
+        );
         truth.seeded.push(SeededBug {
             kind: BugKind::DoubleFree,
             source: free_a.min(free_b),
@@ -813,10 +819,18 @@ pub fn generate(spec: &WorkloadSpec) -> Workload {
 fn emit_alias_web(f: &mut FuncBody<'_>, worker: usize, budget: usize) {
     let n_cells = (budget / 24).max(3);
     let cells: Vec<VarId> = (0..n_cells)
-        .map(|k| f.alloc(&format!("w{worker}_web{k}"), &format!("w{worker}_webobj_{k}")))
+        .map(|k| {
+            f.alloc(
+                &format!("w{worker}_web{k}"),
+                &format!("w{worker}_webobj_{k}"),
+            )
+        })
         .collect();
     for (k, &c) in cells.iter().enumerate() {
-        let v = f.alloc(&format!("w{worker}_webv{k}"), &format!("w{worker}_webval_{k}"));
+        let v = f.alloc(
+            &format!("w{worker}_webv{k}"),
+            &format!("w{worker}_webval_{k}"),
+        );
         f.store(c, v);
     }
     let rounds = budget.saturating_sub(2 * n_cells) / 4;
@@ -856,12 +870,7 @@ fn emit_filler(f: &mut FuncBody<'_>, rng: &mut StdRng, tag: &str, budget: usize)
                     None => f.alloc(&format!("{tag}_fb{idx}"), &format!("{tag}_fbo{idx}")),
                 };
                 let c1 = f.copy(&format!("{tag}_cc{idx}"), base);
-                let c2 = f.bin(
-                    &format!("{tag}_cb{idx}"),
-                    canary_ir::BinOp::Add,
-                    c1,
-                    base,
-                );
+                let c2 = f.bin(&format!("{tag}_cb{idx}"), canary_ir::BinOp::Add, c1, base);
                 chain = Some(c2);
                 emitted += 2;
             }

@@ -65,14 +65,8 @@ mod tests {
     fn ground_truth_labels_point_at_free_and_deref() {
         let w = generate(&WorkloadSpec::small(3));
         for &(free, deref) in &w.truth.uaf_bugs {
-            assert!(matches!(
-                w.prog.inst(free),
-                canary_ir::Inst::Free { .. }
-            ));
-            assert!(matches!(
-                w.prog.inst(deref),
-                canary_ir::Inst::Deref { .. }
-            ));
+            assert!(matches!(w.prog.inst(free), canary_ir::Inst::Free { .. }));
+            assert!(matches!(w.prog.inst(deref), canary_ir::Inst::Deref { .. }));
         }
         for &(free, deref) in &w.truth.benign {
             assert!(matches!(w.prog.inst(free), canary_ir::Inst::Free { .. }));
@@ -179,11 +173,7 @@ mod tests {
             outcome.reports.iter().map(|r| (r.source, r.sink)).collect();
         let eval = evaluate(&w.truth, &pairs);
         assert_eq!(eval.missed, 0, "all seeded bugs found: {pairs:?}");
-        assert_eq!(
-            eval.true_positives,
-            w.truth.uaf_bugs.len(),
-            "{pairs:?}"
-        );
+        assert_eq!(eval.true_positives, w.truth.uaf_bugs.len(), "{pairs:?}");
         // The only false positives are the benign patterns; every
         // contradiction/join-ordered pattern is refuted.
         assert_eq!(

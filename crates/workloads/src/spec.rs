@@ -254,26 +254,126 @@ pub struct SubjectRow {
 
 /// The twenty subjects of Tbl. 1 (name, KLoC, Canary #Reports, #FP).
 pub const TABLE1_SUBJECTS: [SubjectRow; 20] = [
-    SubjectRow { name: "lrzip", kloc: 16, canary_reports: 2, canary_fp: 0 },
-    SubjectRow { name: "lwan", kloc: 20, canary_reports: 1, canary_fp: 0 },
-    SubjectRow { name: "leveldb", kloc: 21, canary_reports: 1, canary_fp: 1 },
-    SubjectRow { name: "darknet", kloc: 29, canary_reports: 0, canary_fp: 0 },
-    SubjectRow { name: "coturn", kloc: 39, canary_reports: 2, canary_fp: 0 },
-    SubjectRow { name: "httrack", kloc: 49, canary_reports: 1, canary_fp: 1 },
-    SubjectRow { name: "finedb", kloc: 51, canary_reports: 1, canary_fp: 0 },
-    SubjectRow { name: "tcpdump", kloc: 85, canary_reports: 0, canary_fp: 0 },
-    SubjectRow { name: "transmission", kloc: 88, canary_reports: 2, canary_fp: 0 },
-    SubjectRow { name: "celix", kloc: 107, canary_reports: 0, canary_fp: 0 },
-    SubjectRow { name: "redis", kloc: 219, canary_reports: 0, canary_fp: 0 },
-    SubjectRow { name: "git", kloc: 239, canary_reports: 0, canary_fp: 0 },
-    SubjectRow { name: "zfs", kloc: 367, canary_reports: 1, canary_fp: 0 },
-    SubjectRow { name: "HP-Socket", kloc: 426, canary_reports: 0, canary_fp: 0 },
-    SubjectRow { name: "openssl", kloc: 451, canary_reports: 1, canary_fp: 1 },
-    SubjectRow { name: "poco", kloc: 705, canary_reports: 0, canary_fp: 0 },
-    SubjectRow { name: "mariadb", kloc: 1751, canary_reports: 1, canary_fp: 0 },
-    SubjectRow { name: "ffmpeg", kloc: 2003, canary_reports: 0, canary_fp: 0 },
-    SubjectRow { name: "mysql", kloc: 3118, canary_reports: 0, canary_fp: 0 },
-    SubjectRow { name: "firefox", kloc: 8938, canary_reports: 2, canary_fp: 1 },
+    SubjectRow {
+        name: "lrzip",
+        kloc: 16,
+        canary_reports: 2,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "lwan",
+        kloc: 20,
+        canary_reports: 1,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "leveldb",
+        kloc: 21,
+        canary_reports: 1,
+        canary_fp: 1,
+    },
+    SubjectRow {
+        name: "darknet",
+        kloc: 29,
+        canary_reports: 0,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "coturn",
+        kloc: 39,
+        canary_reports: 2,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "httrack",
+        kloc: 49,
+        canary_reports: 1,
+        canary_fp: 1,
+    },
+    SubjectRow {
+        name: "finedb",
+        kloc: 51,
+        canary_reports: 1,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "tcpdump",
+        kloc: 85,
+        canary_reports: 0,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "transmission",
+        kloc: 88,
+        canary_reports: 2,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "celix",
+        kloc: 107,
+        canary_reports: 0,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "redis",
+        kloc: 219,
+        canary_reports: 0,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "git",
+        kloc: 239,
+        canary_reports: 0,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "zfs",
+        kloc: 367,
+        canary_reports: 1,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "HP-Socket",
+        kloc: 426,
+        canary_reports: 0,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "openssl",
+        kloc: 451,
+        canary_reports: 1,
+        canary_fp: 1,
+    },
+    SubjectRow {
+        name: "poco",
+        kloc: 705,
+        canary_reports: 0,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "mariadb",
+        kloc: 1751,
+        canary_reports: 1,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "ffmpeg",
+        kloc: 2003,
+        canary_reports: 0,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "mysql",
+        kloc: 3118,
+        canary_reports: 0,
+        canary_fp: 0,
+    },
+    SubjectRow {
+        name: "firefox",
+        kloc: 8938,
+        canary_reports: 2,
+        canary_fp: 1,
+    },
 ];
 
 /// How the suite is scaled to the machine at hand.
@@ -355,10 +455,7 @@ mod tests {
     #[test]
     fn bug_counts_follow_table1() {
         let suite = table1_suite(SuiteScale::default());
-        let total_reports: usize = suite
-            .iter()
-            .map(|s| s.true_bugs + s.benign_patterns)
-            .sum();
+        let total_reports: usize = suite.iter().map(|s| s.true_bugs + s.benign_patterns).sum();
         let total_fp: usize = suite.iter().map(|s| s.benign_patterns).sum();
         // Tbl. 1: 15 reports, 4 FP (26.67 % FP rate).
         assert_eq!(total_reports, 15);

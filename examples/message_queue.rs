@@ -68,11 +68,7 @@ const HANDSHAKE_OK: &str = r#"
 
 fn main() {
     let canary = Canary::with_config(CanaryConfig {
-        checkers: vec![
-            BugKind::NullDeref,
-            BugKind::DataLeak,
-            BugKind::UseAfterFree,
-        ],
+        checkers: vec![BugKind::NullDeref, BugKind::DataLeak, BugKind::UseAfterFree],
         ..CanaryConfig::default()
     });
 
@@ -88,10 +84,7 @@ fn main() {
     println!("== secret leaked through the queue ==");
     let prog = canary::ir::parse(TAINT_LEAK).expect("example parses");
     let outcome = canary.analyze(&prog);
-    assert!(outcome
-        .reports
-        .iter()
-        .any(|r| r.kind == BugKind::DataLeak));
+    assert!(outcome.reports.iter().any(|r| r.kind == BugKind::DataLeak));
     println!("{}\n", outcome.render(&prog));
 
     println!("== wait/notify-protected free (no report) ==");

@@ -38,8 +38,7 @@ fn main() {
         let pairs: Vec<(Label, Label)> =
             outcome.reports.iter().map(|r| (r.source, r.sink)).collect();
         let ce = evaluate(&w.truth, &pairs);
-        let saber_cell = match saber::check_uaf(&w.prog, Deadline::after(Duration::from_secs(20)))
-        {
+        let saber_cell = match saber::check_uaf(&w.prog, Deadline::after(Duration::from_secs(20))) {
             Budgeted::Done(rs) => {
                 let se = evaluate(
                     &w.truth,

@@ -63,8 +63,14 @@ fn main() {
     // Every confirmed report explains itself: the value-flow chain,
     // the escaped object licensing each interference edge, the MHP
     // facts consulted, and the satisfying model slice — as a DAG.
-    println!("== provenance (fingerprint {}) ==", report.fingerprint(&prog));
-    let provenance = report.provenance.as_ref().expect("reports carry provenance");
+    println!(
+        "== provenance (fingerprint {}) ==",
+        report.fingerprint(&prog)
+    );
+    let provenance = report
+        .provenance
+        .as_ref()
+        .expect("reports carry provenance");
     for edge in &provenance.edges {
         let via = match &edge.escape {
             Some(esc) => format!("  [licensed by escaped `{}`]", esc.obj),

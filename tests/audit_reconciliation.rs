@@ -64,31 +64,29 @@ fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
         0usize..3,
         2usize..5,
     )
-        .prop_map(
-            |(seed, stmts, threads, cells, bugs, fanout)| WorkloadSpec {
-                name: format!("audit-rec-{seed}"),
-                seed,
-                target_stmts: stmts,
-                threads,
-                shared_cells: cells,
-                true_bugs: bugs,
-                benign_patterns: 1,
-                contradiction_patterns: 2,
-                handshake_patterns: 1,
-                order_fp_patterns: 1,
-                double_free: 1,
-                null_deref: 1,
-                leak: 1,
-                double_lock: 1,
-                conflict_lock: 1,
-                sb_patterns: 0,
-                mp_patterns: 0,
-                lb_patterns: 0,
-                family_fanout: fanout,
-                hard_family_ratio: 0.5,
-                filler: true,
-            },
-        )
+        .prop_map(|(seed, stmts, threads, cells, bugs, fanout)| WorkloadSpec {
+            name: format!("audit-rec-{seed}"),
+            seed,
+            target_stmts: stmts,
+            threads,
+            shared_cells: cells,
+            true_bugs: bugs,
+            benign_patterns: 1,
+            contradiction_patterns: 2,
+            handshake_patterns: 1,
+            order_fp_patterns: 1,
+            double_free: 1,
+            null_deref: 1,
+            leak: 1,
+            double_lock: 1,
+            conflict_lock: 1,
+            sb_patterns: 0,
+            mp_patterns: 0,
+            lb_patterns: 0,
+            family_fanout: fanout,
+            hard_family_ratio: 0.5,
+            filler: true,
+        })
 }
 
 proptest! {
@@ -329,8 +327,8 @@ fn path_budget_truncation_is_recorded() {
         "expected a truncation marker: {}",
         summary.render()
     );
-    assert!(audit
-        .records()
-        .iter()
-        .any(|r| matches!(r.disposition, Some(Disposition::PathBudget { limit: "max_paths" }))));
+    assert!(audit.records().iter().any(|r| matches!(
+        r.disposition,
+        Some(Disposition::PathBudget { limit: "max_paths" })
+    )));
 }

@@ -10,7 +10,11 @@ fn reports(src: &str, kind: BugKind) -> usize {
         checkers: vec![kind],
         ..CanaryConfig::default()
     });
-    canary.analyze_source(src).expect("test program parses").reports.len()
+    canary
+        .analyze_source(src)
+        .expect("test program parses")
+        .reports
+        .len()
 }
 
 mod use_after_free {
@@ -323,18 +327,14 @@ mod generated_lock_workloads {
             let found: std::collections::BTreeSet<_> = outcome
                 .reports
                 .iter()
-                .filter(|r| {
-                    matches!(r.kind, BugKind::DoubleLock | BugKind::ConflictLock)
-                })
+                .filter(|r| matches!(r.kind, BugKind::DoubleLock | BugKind::ConflictLock))
                 .map(|r| (r.kind, r.source, r.sink))
                 .collect();
             let seeded: std::collections::BTreeSet<_> = w
                 .truth
                 .seeded
                 .iter()
-                .filter(|b| {
-                    matches!(b.kind, BugKind::DoubleLock | BugKind::ConflictLock)
-                })
+                .filter(|b| matches!(b.kind, BugKind::DoubleLock | BugKind::ConflictLock))
                 .map(|b| (b.kind, b.source, b.sink))
                 .collect();
             assert_eq!(seeded.len(), 2, "seed {seed}: both lock kinds seeded");
@@ -352,9 +352,7 @@ mod generated_lock_workloads {
             let lock_reports: Vec<_> = outcome
                 .reports
                 .iter()
-                .filter(|r| {
-                    matches!(r.kind, BugKind::DoubleLock | BugKind::ConflictLock)
-                })
+                .filter(|r| matches!(r.kind, BugKind::DoubleLock | BugKind::ConflictLock))
                 .collect();
             assert!(lock_reports.is_empty(), "seed {seed}: {lock_reports:?}");
         }
@@ -514,9 +512,7 @@ mod memory_model_sweep {
             let lock_only = |model| -> BTreeSet<(BugKind, Label, Label)> {
                 triples_under(&w.prog, model)
                     .into_iter()
-                    .filter(|(k, _, _)| {
-                        matches!(k, BugKind::DoubleLock | BugKind::ConflictLock)
-                    })
+                    .filter(|(k, _, _)| matches!(k, BugKind::DoubleLock | BugKind::ConflictLock))
                     .collect()
             };
             let sc = lock_only(MemoryModel::Sc);
@@ -565,8 +561,7 @@ mod config_behaviour {
                    }
                    fn w(x) { use x; }";
         let outcome = Canary::new().analyze_source(src).unwrap();
-        let kinds: std::collections::HashSet<_> =
-            outcome.reports.iter().map(|r| r.kind).collect();
+        let kinds: std::collections::HashSet<_> = outcome.reports.iter().map(|r| r.kind).collect();
         assert!(kinds.contains(&BugKind::UseAfterFree), "{kinds:?}");
         assert!(kinds.contains(&BugKind::DoubleFree), "{kinds:?}");
         assert!(kinds.contains(&BugKind::NullDeref), "{kinds:?}");
@@ -590,8 +585,7 @@ mod config_behaviour {
                    fn w(x) { use x; }
                    fn v(x, y) { lock y; lock x; unlock x; unlock y; }";
         let outcome = Canary::new().analyze_source(src).unwrap();
-        let kinds: std::collections::HashSet<_> =
-            outcome.reports.iter().map(|r| r.kind).collect();
+        let kinds: std::collections::HashSet<_> = outcome.reports.iter().map(|r| r.kind).collect();
         for kind in [
             BugKind::UseAfterFree,
             BugKind::DoubleFree,

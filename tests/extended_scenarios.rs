@@ -158,7 +158,11 @@ fn sanitizing_overwrite_between_cells_blocks_the_leak() {
             sink out;
         }
         fn mover(a, b) { x = *a; *b = x; }";
-    assert_eq!(kind(src, BugKind::DataLeak), 0, "strong update sanitizes c2");
+    assert_eq!(
+        kind(src, BugKind::DataLeak),
+        0,
+        "strong update sanitizes c2"
+    );
 }
 
 #[test]
@@ -206,7 +210,11 @@ fn producer_consumer_ring_with_locks_reports_only_the_real_race() {
             unlock m;
             use x;
         }";
-    assert_eq!(uaf(src), 1, "the mid-run free races; the shutdown free is private");
+    assert_eq!(
+        uaf(src),
+        1,
+        "the mid-run free races; the shutdown free is private"
+    );
 }
 
 #[test]
@@ -253,5 +261,9 @@ fn two_candidate_handlers_both_checked() {
         }
         fn safe_handler(q) { q2 = q; }
         fn racy_handler(q) { use q; }";
-    assert_eq!(uaf(src), 1, "only the dereferencing handler yields a report");
+    assert_eq!(
+        uaf(src),
+        1,
+        "only the dereferencing handler yields a report"
+    );
 }

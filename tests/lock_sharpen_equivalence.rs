@@ -123,7 +123,11 @@ fn lock_guarded_subject_prunes_without_changing_findings() {
             .map(|r| (r.kind.to_string(), r.source.0, r.sink.0))
             .collect()
     };
-    assert_eq!(reports(&on), reports(&off), "sharpening must not change findings");
+    assert_eq!(
+        reports(&on),
+        reports(&off),
+        "sharpening must not change findings"
+    );
 }
 
 /// The seeded lock corpora stay sharpening-invariant too: the guarded

@@ -98,7 +98,11 @@ fn bounded_soundness_every_concrete_hit_is_reported() {
     for spec in corpus() {
         let w = generate(&spec);
         let e = explore(&w.prog, EnumLimits::default());
-        assert!(e.complete, "{}: enumeration must exhaust the space", spec.name);
+        assert!(
+            e.complete,
+            "{}: enumeration must exhaust the space",
+            spec.name
+        );
         let outcome = Canary::new().analyze(&w.prog);
         let reported: HashSet<(BugKind, canary_ir::Label, canary_ir::Label)> = outcome
             .reports
@@ -153,7 +157,11 @@ fn lock_bounded_soundness_no_seeded_lock_bug_missed() {
     for spec in lock_corpus() {
         let w = generate(&spec);
         let e = explore(&w.prog, EnumLimits::default());
-        assert!(e.complete, "{}: enumeration must exhaust the space", spec.name);
+        assert!(
+            e.complete,
+            "{}: enumeration must exhaust the space",
+            spec.name
+        );
         let outcome = Canary::new().analyze(&w.prog);
         let reported: HashSet<(BugKind, canary_ir::Label, canary_ir::Label)> = outcome
             .reports
@@ -245,7 +253,11 @@ fn double_lock_report_is_certified_by_exhaustive_enumeration() {
     assert_eq!(outcome.reports.len(), 1, "{:?}", outcome.reports);
     let r = &outcome.reports[0];
     assert_eq!(r.kind, BugKind::DoubleLock);
-    assert!(outcome.witness_replays[0].confirmed(), "{:?}", outcome.witness_replays);
+    assert!(
+        outcome.witness_replays[0].confirmed(),
+        "{:?}",
+        outcome.witness_replays
+    );
     let e = explore(&prog, EnumLimits::default());
     assert!(e.complete);
     assert!(

@@ -88,29 +88,31 @@ fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
         0usize..3,
         0usize..6,
     )
-        .prop_map(|(seed, stmts, threads, cells, bugs, benign, contra, fanout)| WorkloadSpec {
-            name: format!("par-eq-{seed}"),
-            seed,
-            target_stmts: stmts,
-            threads,
-            shared_cells: cells,
-            true_bugs: bugs,
-            benign_patterns: benign,
-            contradiction_patterns: contra,
-            handshake_patterns: 1,
-            order_fp_patterns: 1,
-            double_free: 0,
-            null_deref: 0,
-            leak: 0,
-            double_lock: 1,
-            conflict_lock: 1,
-            sb_patterns: 0,
-            mp_patterns: 0,
-            lb_patterns: 0,
-            family_fanout: fanout,
-            hard_family_ratio: 0.75,
-            filler: true,
-        })
+        .prop_map(
+            |(seed, stmts, threads, cells, bugs, benign, contra, fanout)| WorkloadSpec {
+                name: format!("par-eq-{seed}"),
+                seed,
+                target_stmts: stmts,
+                threads,
+                shared_cells: cells,
+                true_bugs: bugs,
+                benign_patterns: benign,
+                contradiction_patterns: contra,
+                handshake_patterns: 1,
+                order_fp_patterns: 1,
+                double_free: 0,
+                null_deref: 0,
+                leak: 0,
+                double_lock: 1,
+                conflict_lock: 1,
+                sb_patterns: 0,
+                mp_patterns: 0,
+                lb_patterns: 0,
+                family_fanout: fanout,
+                hard_family_ratio: 0.75,
+                filler: true,
+            },
+        )
 }
 
 proptest! {
@@ -128,13 +130,15 @@ proptest! {
 /// Extracts every raw-string literal (`r#"…"#`) from a Rust source file
 /// and keeps those that parse and validate as bounded programs.
 fn embedded_programs(path: &std::path::Path) -> Vec<String> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let mut programs = Vec::new();
     let mut rest = text.as_str();
     while let Some(start) = rest.find("r#\"") {
         let body_on = &rest[start + 3..];
-        let Some(end) = body_on.find("\"#") else { break };
+        let Some(end) = body_on.find("\"#") else {
+            break;
+        };
         let candidate = &body_on[..end];
         if let Ok(prog) = canary_ir::parse(candidate) {
             if prog.validate().is_ok() {

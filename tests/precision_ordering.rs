@@ -46,11 +46,7 @@ fn canary_full_recall_on_seeded_bugs() {
         let w = generate(&WorkloadSpec::small(seed));
         let eval = evaluate(&w.truth, &canary_pairs(&w));
         assert_eq!(eval.missed, 0, "seed {seed}: all seeded bugs found");
-        assert_eq!(
-            eval.true_positives,
-            w.truth.uaf_bugs.len(),
-            "seed {seed}"
-        );
+        assert_eq!(eval.true_positives, w.truth.uaf_bugs.len(), "seed {seed}");
     }
 }
 
@@ -65,10 +61,7 @@ fn canary_fp_are_exactly_the_benign_patterns() {
             w.truth.benign.len(),
             "seed {seed}: reports {pairs:?}"
         );
-        for fp in pairs
-            .iter()
-            .filter(|p| !w.truth.uaf_bugs.contains(p))
-        {
+        for fp in pairs.iter().filter(|p| !w.truth.uaf_bugs.contains(p)) {
             assert!(
                 w.truth.benign.contains(fp),
                 "seed {seed}: unexplained FP {fp:?}"
@@ -83,10 +76,7 @@ fn baselines_report_supersets_of_truth_volume() {
     let canary_n = canary_pairs(&w).len();
     let saber_n = saber_pairs(&w).len();
     let fsam_n = fsam_pairs(&w).len();
-    assert!(
-        saber_n >= canary_n,
-        "saber {saber_n} >= canary {canary_n}"
-    );
+    assert!(saber_n >= canary_n, "saber {saber_n} >= canary {canary_n}");
     assert!(fsam_n >= canary_n, "fsam {fsam_n} >= canary {canary_n}");
     // The baselines still find every seeded bug (they over-report, they
     // do not under-report).

@@ -16,7 +16,9 @@ fn analyze_with_strategy(src: &str, strategy: SolverStrategy) -> canary::Analysi
         ..CanaryConfig::default()
     };
     config.detect.solver.strategy = strategy;
-    Canary::with_config(config).analyze_source(src).expect("parses")
+    Canary::with_config(config)
+        .analyze_source(src)
+        .expect("parses")
 }
 
 fn analyze(src: &str) -> canary::AnalysisOutcome {
@@ -144,7 +146,11 @@ fn incremental_cores_are_deletion_minimal() {
     let mut sorted = core.clone();
     sorted.sort();
     sorted.dedup();
-    assert_eq!(sorted.len(), core.len(), "duplicate constraints in {core:?}");
+    assert_eq!(
+        sorted.len(),
+        core.len(),
+        "duplicate constraints in {core:?}"
+    );
     // And stays far below the fully grounded formula.
     assert!(core.len() <= 6, "{core:?}");
 }

@@ -56,14 +56,20 @@ fn fixed_manifest(file: &str) -> RunManifest {
 /// Renders the three artifacts under test for one configuration:
 /// the pretty-printed SARIF document and, per report, the provenance
 /// DAG as JSON and DOT.
-fn artifacts(prog: &canary_ir::Program, outcome: &canary::AnalysisOutcome) -> (String, String, String) {
+fn artifacts(
+    prog: &canary_ir::Program,
+    outcome: &canary::AnalysisOutcome,
+) -> (String, String, String) {
     let manifest = fixed_manifest("workload.cir");
     let sarif = serde_json::to_string_pretty(&sarif_document(prog, &outcome.reports, &manifest))
         .expect("valid json");
     let mut prov_json = String::new();
     let mut prov_dot = String::new();
     for r in &outcome.reports {
-        let p = r.provenance.as_ref().expect("every report carries provenance");
+        let p = r
+            .provenance
+            .as_ref()
+            .expect("every report carries provenance");
         prov_json.push_str(&serde_json::to_string_pretty(&p.to_json()).expect("valid json"));
         prov_json.push('\n');
         prov_dot.push_str(&p.to_dot(&format!("{}", r.kind)));
@@ -276,7 +282,10 @@ fn fig2_variant_sarif_codeflow_reproduces_the_witness() {
     let doc = run_sarif(&fig2_variant(), &[]);
     assert_eq!(doc["version"], "2.1.0");
     assert!(
-        doc["$schema"].as_str().unwrap().contains("sarif-schema-2.1.0"),
+        doc["$schema"]
+            .as_str()
+            .unwrap()
+            .contains("sarif-schema-2.1.0"),
         "{:?}",
         doc["$schema"]
     );
@@ -300,16 +309,25 @@ fn fig2_variant_sarif_codeflow_reproduces_the_witness() {
                 .as_array()
                 .unwrap()
                 .iter()
-                .map(|l| l["location"]["message"]["text"].as_str().unwrap().to_string())
+                .map(|l| {
+                    l["location"]["message"]["text"]
+                        .as_str()
+                        .unwrap()
+                        .to_string()
+                })
                 .collect()
         })
         .collect();
     assert!(
-        texts[0].iter().any(|t| t.contains("fork") && t.contains("[forks t1]")),
+        texts[0]
+            .iter()
+            .any(|t| t.contains("fork") && t.contains("[forks t1]")),
         "{texts:?}"
     );
     assert!(
-        texts[1].iter().any(|t| t.contains("[thread t1 starts here]")),
+        texts[1]
+            .iter()
+            .any(|t| t.contains("[thread t1 starts here]")),
         "{texts:?}"
     );
     assert!(texts[1].iter().any(|t| t.contains("free b")), "{texts:?}");
@@ -323,14 +341,26 @@ fn fig2_variant_sarif_codeflow_reproduces_the_witness() {
         .map(|l| {
             (
                 l["executionOrder"].as_i64().unwrap(),
-                l["location"]["message"]["text"].as_str().unwrap().to_string(),
+                l["location"]["message"]["text"]
+                    .as_str()
+                    .unwrap()
+                    .to_string(),
             )
         })
         .collect();
     orders.sort();
-    let free_pos = orders.iter().position(|(_, t)| t.contains("free b")).unwrap();
-    let use_pos = orders.iter().position(|(_, t)| t.contains("use c")).unwrap();
-    assert!(free_pos < use_pos, "witness order: free before use: {orders:?}");
+    let free_pos = orders
+        .iter()
+        .position(|(_, t)| t.contains("free b"))
+        .unwrap();
+    let use_pos = orders
+        .iter()
+        .position(|(_, t)| t.contains("use c"))
+        .unwrap();
+    assert!(
+        free_pos < use_pos,
+        "witness order: free before use: {orders:?}"
+    );
     // Provenance rides along under properties: licensed interference
     // edges carry the escaped object and the MHP facts consulted.
     let prov = &r["properties"]["provenance"];
@@ -352,8 +382,7 @@ fn fig2_variant_sarif_codeflow_reproduces_the_witness() {
 // ---------------------------------------------------------------------------
 
 const ONE_BUG: &str = "fn main() { p = alloc o; fork t w(p); free p; }\nfn w(q) { use q; }\n";
-const OTHER_BUG: &str =
-    "fn main() { s = alloc o2; fork t r(s); free s; }\nfn r(h) { use h; }\n";
+const OTHER_BUG: &str = "fn main() { s = alloc o2; fork t r(s); free s; }\nfn r(h) { use h; }\n";
 
 fn temp(name: &str, src: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("canary-report-determinism");
@@ -388,7 +417,11 @@ fn baseline_diff_classifies_injected_and_removed_bugs() {
         .arg(&b_sarif)
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(1), "new finding gates the exit code");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "new finding gates the exit code"
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("[new]"), "{stdout}");
     assert!(stdout.contains("[fixed]"), "{stdout}");
@@ -399,7 +432,11 @@ fn baseline_diff_classifies_injected_and_removed_bugs() {
         .args(["--baseline", a_sarif.to_str().unwrap()])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(0), "no new findings on unchanged corpus");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "no new findings on unchanged corpus"
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("0 new, 0 fixed, 1 persisting"), "{stdout}");
     // The same corpus against the other baseline flips to exit 1.
@@ -421,7 +458,10 @@ fn fingerprints_are_stable_under_line_shifts() {
         let path = temp(name, src);
         let out = canary_bin().arg(&path).arg("--json").output().unwrap();
         let doc: Value = serde_json::from_slice(&out.stdout).unwrap();
-        doc["reports"][0]["fingerprint"].as_str().unwrap().to_string()
+        doc["reports"][0]["fingerprint"]
+            .as_str()
+            .unwrap()
+            .to_string()
     };
     assert_eq!(
         run(ONE_BUG, "stable_base.cir"),
@@ -455,7 +495,10 @@ fn lock_fingerprints_are_stable_under_line_shifts() {
     let dl_a = run(dl_base, "dl_base.cir", "doublelock");
     let dl_b = run(dl_shifted, "dl_shifted.cir", "doublelock");
     assert_eq!(dl_a.len(), 1, "{dl_a:?}");
-    assert_eq!(dl_a, dl_b, "double-lock fingerprint must survive label renumbering");
+    assert_eq!(
+        dl_a, dl_b,
+        "double-lock fingerprint must survive label renumbering"
+    );
     let cl_base = "fn main() { a = alloc ma; b = alloc mb; fork t w(a, b); \
                    lock a; lock b; unlock b; unlock a; }\n\
                    fn w(x, y) { lock y; lock x; unlock x; unlock y; }";
@@ -466,7 +509,10 @@ fn lock_fingerprints_are_stable_under_line_shifts() {
     let cl_a = run(cl_base, "cl_base.cir", "conflictlock");
     let cl_b = run(cl_shifted, "cl_shifted.cir", "conflictlock");
     assert_eq!(cl_a.len(), 1, "{cl_a:?}");
-    assert_eq!(cl_a, cl_b, "conflict-lock fingerprint must survive label renumbering");
+    assert_eq!(
+        cl_a, cl_b,
+        "conflict-lock fingerprint must survive label renumbering"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -482,7 +528,11 @@ fn lock_fingerprints_are_stable_under_line_shifts() {
 use canary_trace::metrics::{normalize_openmetrics, normalize_registry_json};
 
 /// Renders both telemetry artifacts for one configuration.
-fn telemetry(prog: &canary_ir::Program, threads: usize, strategy: SolverStrategy) -> (String, Value) {
+fn telemetry(
+    prog: &canary_ir::Program,
+    threads: usize,
+    strategy: SolverStrategy,
+) -> (String, Value) {
     let outcome = configured(threads, strategy, MemoryModel::Sc).analyze(prog);
     let registry = outcome.metrics.to_registry();
     (registry.to_openmetrics(), registry.to_json())
@@ -562,7 +612,10 @@ fn cli_metrics_out_is_deterministic_and_well_formed() {
     };
     let base = run(&[]);
     // Well-formed: typed families, counter naming, EOF terminator.
-    assert!(base.ends_with("# EOF\n"), "OpenMetrics needs the EOF marker");
+    assert!(
+        base.ends_with("# EOF\n"),
+        "OpenMetrics needs the EOF marker"
+    );
     for family in [
         "# TYPE canary_vfg_nodes gauge",
         "# TYPE canary_detect_queries counter",

@@ -82,7 +82,10 @@ fn trace_covers_all_three_phases_and_smt_queries() {
         .map(|e| e["name"].as_str().unwrap().to_string())
         .collect();
     for phase in ["callgraph", "alg1", "alg2", "detect"] {
-        assert!(names.iter().any(|n| n == phase), "missing {phase}: {names:?}");
+        assert!(
+            names.iter().any(|n| n == phase),
+            "missing {phase}: {names:?}"
+        );
     }
     assert!(
         names.iter().any(|n| n.starts_with("alg1.func:")),
@@ -168,7 +171,10 @@ fn cli_trace_out_writes_valid_chrome_trace() {
     for phase in ["callgraph", "alg1", "alg2", "detect"] {
         assert!(names.contains(&phase), "missing {phase}: {names:?}");
     }
-    assert!(names.iter().any(|n| n.starts_with("smt.query:")), "{names:?}");
+    assert!(
+        names.iter().any(|n| n.starts_with("smt.query:")),
+        "{names:?}"
+    );
 }
 
 #[test]
@@ -278,6 +284,10 @@ fn slow_query_watchdog_logs_full_attribution() {
         assert!(stderr.contains(field), "missing {field} in {stderr}");
     }
     // Default is off: no watchdog lines without the flag.
-    let quiet = canary_bin().arg(&src_path).env_remove("CANARY_LOG").output().unwrap();
+    let quiet = canary_bin()
+        .arg(&src_path)
+        .env_remove("CANARY_LOG")
+        .output()
+        .unwrap();
     assert!(quiet.stderr.is_empty());
 }
