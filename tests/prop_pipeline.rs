@@ -123,30 +123,45 @@ proptest! {
     #[test]
     fn mhp_toggle_never_changes_reports(spec in spec_strategy()) {
         // MHP pruning is an optimization: the SMT order constraints
-        // refute the same pairs, so final reports must be identical.
+        // refute the same pairs, so final reports must be identical,
+        // and pruning never adds an interference edge.
         let w = generate(&spec);
-        let mk = |mhp: bool| {
-            Canary::with_config(CanaryConfig {
-                checkers: vec![BugKind::UseAfterFree],
-                interference: canary_interference::InterferenceOptions {
-                    use_mhp: mhp,
-                    ..canary_interference::InterferenceOptions::default()
-                },
-                ..CanaryConfig::default()
-            })
-        };
-        let with: Vec<_> = mk(true)
-            .analyze(&w.prog)
-            .reports
-            .iter()
-            .map(|r| (r.source, r.sink))
-            .collect();
-        let without: Vec<_> = mk(false)
-            .analyze(&w.prog)
-            .reports
-            .iter()
-            .map(|r| (r.source, r.sink))
-            .collect();
+        let (with, with_edges) = uaf_pairs_and_edges(&w.prog, true);
+        let (without, without_edges) = uaf_pairs_and_edges(&w.prog, false);
         prop_assert_eq!(with, without);
+        prop_assert!(with_edges <= without_edges, "{} > {}", with_edges, without_edges);
     }
+}
+
+/// The use-after-free findings as (source, sink) pairs, and the number
+/// of interference edges Alg. 2 added, with MHP pruning on or off.
+fn uaf_pairs_and_edges(prog: &canary_ir::Program, mhp: bool) -> (Vec<(Label, Label)>, usize) {
+    let outcome = Canary::with_config(CanaryConfig {
+        checkers: vec![BugKind::UseAfterFree],
+        interference: canary_interference::InterferenceOptions {
+            use_mhp: mhp,
+            ..canary_interference::InterferenceOptions::default()
+        },
+        ..CanaryConfig::default()
+    })
+    .analyze(prog);
+    let pairs = outcome.reports.iter().map(|r| (r.source, r.sink)).collect();
+    (pairs, outcome.metrics.interference_edges)
+}
+
+#[test]
+fn mhp_pruning_removes_interference_edges_on_the_ablation_subject() {
+    // The fixed MHP ablation subject (§6): here pruning must remove
+    // edges, not merely never add them.
+    let w = generate(&WorkloadSpec {
+        target_stmts: 1200,
+        ..WorkloadSpec::small(0xAB1A)
+    });
+    let (with, with_edges) = uaf_pairs_and_edges(&w.prog, true);
+    let (without, without_edges) = uaf_pairs_and_edges(&w.prog, false);
+    assert_eq!(with, without);
+    assert!(
+        with_edges < without_edges,
+        "{with_edges} vs {without_edges}"
+    );
 }

@@ -12,7 +12,9 @@
 //! 1. a property test (16 cases) over random `canary-workloads`
 //!    programs comparing full outcomes fresh vs incremental, at one
 //!    and at four solver threads;
-//! 2. a CLI-level `--json` comparison on a concrete program.
+//! 2. the same comparison on the benchmark's two query-family
+//!    subjects, which also bounds the incremental CDCL work;
+//! 3. a CLI-level `--json` comparison on a concrete program.
 
 use canary::{AnalysisOutcome, Canary, CanaryConfig};
 use canary_smt::SolverStrategy;
@@ -134,6 +136,27 @@ proptest! {
         // family solving, and equivalent to fresh there too.
         let incr_par = with_strategy(SolverStrategy::Incremental, 4).analyze(&w.prog);
         prop_assert_eq!(canonical_json(&incr), canonical_json(&incr_par));
+    }
+}
+
+#[test]
+fn incremental_saves_solver_work_on_query_family_subjects() {
+    // The two query-family subjects of the `hard-families` benchmark
+    // workload: every member is refuted through the same lock and
+    // handshake disjunctions, so the incremental back-end must reach
+    // the fresh verdicts with at most 70% of its CDCL work.
+    for (sources, stores, locks) in [(4, 10, 6), (6, 16, 4)] {
+        let prog = canary_bench::family_subject(sources, stores, locks);
+        let fresh = with_strategy(SolverStrategy::Fresh, 1).analyze(&prog);
+        let incremental = with_strategy(SolverStrategy::Incremental, 1).analyze(&prog);
+        assert_eq!(canonical_json(&fresh), canonical_json(&incremental));
+        let work = |o: &AnalysisOutcome| o.metrics.detect.decisions + o.metrics.detect.conflicts;
+        assert!(
+            10 * work(&incremental) <= 7 * work(&fresh),
+            "family_subject({sources}, {stores}, {locks}): incremental {} vs fresh {}",
+            work(&incremental),
+            work(&fresh)
+        );
     }
 }
 
