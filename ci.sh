@@ -37,6 +37,9 @@ cargo build --release --offline
 cargo test -q --workspace --offline
 CANARY_TEST_THREADS=2 cargo test -q --workspace --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# Rustdoc links must resolve: a link to a deleted or private item fails
+# here instead of rendering as plain text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo fmt --all -- --check
 # Store-buffering litmus smoke: the Dekker-style double free replays
 # on the store-buffer machine under tso/pso but has no SC witness, so

@@ -88,10 +88,10 @@ impl PathConditions {
 mod tests {
     use super::*;
     use canary_ir::parse;
-    use canary_smt::{check, SolverOptions, SolverStats};
+    use canary_smt::{check, SolverOptions};
 
     fn sat(pool: &TermPool, t: TermId) -> bool {
-        check(pool, t, &SolverOptions::default(), &SolverStats::default()).is_sat()
+        check(pool, t, &SolverOptions::default()).is_sat()
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use canary_ir::{CallGraph, Inst, VarId};
-use canary_smt::{check, SolverOptions, SolverStats, TermPool};
+use canary_smt::{check, SolverOptions, TermPool};
 use canary_workloads::{generate, WorkloadSpec};
 
 fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
@@ -104,12 +104,11 @@ proptest! {
         let mut pool = TermPool::new();
         let df = canary_dataflow::run(&w.prog, &cg, &mut pool);
         let opts = SolverOptions::default();
-        let stats = SolverStats::default();
         let mut checked = 0;
         for set in &df.pgtop {
             for e in set {
                 prop_assert!(
-                    check(&pool, e.guard, &opts, &stats).is_sat(),
+                    check(&pool, e.guard, &opts).is_sat(),
                     "unsatisfiable points-to guard"
                 );
                 checked += 1;
@@ -127,14 +126,13 @@ proptest! {
         let mut pool = TermPool::new();
         let df = canary_dataflow::run(&w.prog, &cg, &mut pool);
         let opts = SolverOptions::default();
-        let stats = SolverStats::default();
         for (i, l) in w.prog.labels().enumerate() {
             if i % 7 != 0 {
                 continue; // sample
             }
             let g = df.path_conds.guard(l);
             prop_assert!(
-                check(&pool, g, &opts, &stats).is_sat(),
+                check(&pool, g, &opts).is_sat(),
                 "generated statements are all reachable, guard must be sat"
             );
         }

@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use canary_ir::Label;
-use canary_smt::{TermId, TermPool};
+use canary_smt::{is_sorted_subset, TermId, TermPool};
 
 use crate::provenance::Fingerprint;
 use crate::report::BugKind;
@@ -91,8 +91,8 @@ pub enum Disposition {
     /// Refuted without solving: the candidate's conjunct set contains
     /// a previously refuted conjunct set.
     UnsatCore {
-        /// Rendered conjuncts of the refuted set (capped; see
-        /// [`render_conjuncts`]).
+        /// Rendered conjuncts of the refuted set: each capped at 160
+        /// characters, at most 16 listed (`…(+N more)` tails the list).
         conjuncts: Vec<String>,
         /// Hash-consed term ids of the full conjunct set.
         conjunct_ids: Vec<usize>,
@@ -657,24 +657,6 @@ fn render_conjuncts(pool: &TermPool, conjs: &[TermId]) -> Vec<String> {
         out.push(format!("…(+{} more)", conjs.len() - MAX_CONJ));
     }
     out
-}
-
-/// Whether sorted `sub` ⊆ sorted `sup` (two-pointer walk). Local copy
-/// of the solver's subsumption test so audit-side dispositions stay
-/// derivable without a solver in scope.
-fn is_sorted_subset(sub: &[TermId], sup: &[TermId]) -> bool {
-    let mut i = 0;
-    for &x in sup {
-        if i == sub.len() {
-            return true;
-        }
-        if sub[i] == x {
-            i += 1;
-        } else if sub[i] < x {
-            return false;
-        }
-    }
-    i == sub.len()
 }
 
 #[cfg(test)]

@@ -186,7 +186,7 @@ pub fn assemble_with(
 mod tests {
     use super::*;
     use canary_ir::{parse, CallGraph};
-    use canary_smt::{check, SolverOptions, SolverStats};
+    use canary_smt::{check, SolverOptions};
 
     #[test]
     fn po_orders_straightline_labels() {
@@ -238,8 +238,7 @@ mod tests {
         let mut pool = TermPool::new();
         let bad = pool.order_lt(2, 1); // "use before free"
         let all = assemble(&mut pool, &og, &[bad], &[], &[]);
-        let stats = SolverStats::default();
-        assert!(!check(&pool, all, &SolverOptions::default(), &stats).is_sat());
+        assert!(!check(&pool, all, &SolverOptions::default()).is_sat());
     }
 
     #[test]
@@ -250,8 +249,7 @@ mod tests {
         let mut pool = TermPool::new();
         let fine = pool.order_lt(1, 2);
         let all = assemble(&mut pool, &og, &[fine], &[], &[]);
-        let stats = SolverStats::default();
-        assert!(check(&pool, all, &SolverOptions::default(), &stats).is_sat());
+        assert!(check(&pool, all, &SolverOptions::default()).is_sat());
     }
 
     #[test]
@@ -264,7 +262,6 @@ mod tests {
         let mut pool = TermPool::new();
         let back = pool.order_lt(2, 0);
         let all = assemble(&mut pool, &og, &[back], &[], &[]);
-        let stats = SolverStats::default();
-        assert!(!check(&pool, all, &SolverOptions::default(), &stats).is_sat());
+        assert!(!check(&pool, all, &SolverOptions::default()).is_sat());
     }
 }

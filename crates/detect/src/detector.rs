@@ -10,7 +10,7 @@ use canary_dataflow::{DataflowResult, LockModel};
 use canary_ir::{Inst, Label, MhpAnalysis, Program, ThreadStructure, VarId, MAIN_THREAD};
 use canary_smt::{
     check_all_grouped, check_orders, EventId, Node, OrderEdge, QueryCache, SmtResult,
-    SolverOptions, SolverStats, TermId, TermPool, TheoryResult,
+    SolverOptions, TermId, TermPool, TheoryResult,
 };
 use canary_trace::{Tracer, LANE_DETECT, LANE_SMT};
 use canary_vfg::{EdgeKind, NodeId, NodeKind};
@@ -434,8 +434,7 @@ fn validate(
     stats.queries += candidates.len();
     let queries: Vec<TermId> = candidates.iter().map(|c| c.query).collect();
     let groups: Vec<u64> = candidates.iter().map(|c| c.family).collect();
-    let solver_stats = SolverStats::default();
-    let grouped = check_all_grouped(pool, &queries, &groups, &opts.solver, &solver_stats, cache);
+    let grouped = check_all_grouped(pool, &queries, &groups, &opts.solver, cache);
     let outcomes = grouped.outcomes;
     stats.families += grouped.families;
     stats.clauses_retained += grouped.clauses_retained;
@@ -570,7 +569,7 @@ fn validate(
                          branch guards or order atoms)"
                         .to_string()]
                 } else {
-                    canary_smt::minimal_core(pool, cand.query, &opts.solver, &solver_stats)
+                    canary_smt::minimal_core(pool, cand.query, &opts.solver)
                         .unwrap_or_default()
                         .into_iter()
                         .map(|c| pool.render(c))
@@ -600,7 +599,7 @@ fn validate(
         // topological order of the model's order atoms, completed with
         // the fork/join sites the oracle needs to replay it, plus the
         // model's branch directions.
-        if let Some(w) = canary_smt::check_witness_model(pool, cand.query, &solver_stats) {
+        if let Some(w) = canary_smt::check_witness_model(pool, cand.query) {
             let guards: Vec<(canary_ir::CondId, bool)> = w
                 .bools
                 .iter()

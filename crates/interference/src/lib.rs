@@ -863,13 +863,7 @@ mod tests {
                 .find(|e| e.kind == EdgeKind::Interference)
                 .copied()
                 .expect("one interference edge");
-        let stats = canary_smt::SolverStats::default();
-        let res = canary_smt::check(
-            &s.pool,
-            edge.guard,
-            &canary_smt::SolverOptions::default(),
-            &stats,
-        );
+        let res = canary_smt::check(&s.pool, edge.guard, &canary_smt::SolverOptions::default());
         assert_eq!(res, canary_smt::SmtResult::Unsat);
         let _ = &mut s.pool;
     }
@@ -895,13 +889,7 @@ mod tests {
                 .find(|e| e.kind == EdgeKind::Interference)
                 .copied()
                 .expect("interference edge");
-        let stats = canary_smt::SolverStats::default();
-        let res = canary_smt::check(
-            &s.pool,
-            edge.guard,
-            &canary_smt::SolverOptions::default(),
-            &stats,
-        );
+        let res = canary_smt::check(&s.pool, edge.guard, &canary_smt::SolverOptions::default());
         assert_eq!(res, canary_smt::SmtResult::Sat);
     }
 

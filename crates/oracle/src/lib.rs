@@ -3,7 +3,7 @@
 //! A deterministic concrete interpreter for the Fig. 3 IR, used as a
 //! *ground-truth oracle* for the static pipeline:
 //!
-//! * [`replay`] executes a report's witness schedule step by step with
+//! * [`replay()`] executes a report's witness schedule step by step with
 //!   a real heap — tracking allocation, free, dereference, null stores
 //!   and taint — and checks that the claimed bug actually fires at the
 //!   claimed source/sink pair. This is the executable reading of

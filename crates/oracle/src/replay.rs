@@ -182,8 +182,8 @@ pub fn replay_report(prog: &Program, report: &BugReport) -> ReplayResult {
 /// choices (as do branch atoms the guards leave open), the weak replay
 /// is a bounded memoized DFS over those free moves with the scheduled
 /// events as barriers, confirmed as soon as any compatible execution
-/// fires the claimed bug. The search is exhaustive within
-/// [`STEP_BUDGET`] states, so a `NoBug`/`Deadlock` failure means *no*
+/// fires the claimed bug. The search is exhaustive within its budget
+/// of 10⁶ states, so a `NoBug`/`Deadlock` failure means *no*
 /// schedule-compatible execution confirms the claim.
 pub fn replay_under(
     prog: &Program,

@@ -3,7 +3,7 @@
 //!
 //! Two SARIF documents are compared by the stable content-addressed
 //! fingerprints their results carry under `partialFingerprints` (key
-//! [`FINGERPRINT_KEY`](crate::sarif::FINGERPRINT_KEY)). Because the
+//! [`FINGERPRINT_KEY`]). Because the
 //! fingerprint hashes the *semantic shape* of a finding — kind,
 //! statement text, function names, position-stripped path — and not
 //! its labels, findings keep their identity across unrelated edits

@@ -7,16 +7,8 @@
 //! stays unsatisfiable, yielding a minimal explanation (w.r.t. single
 //! deletions).
 
-use crate::solver::{check, SolverOptions, SolverStats};
-use crate::term::{Node, TermId, TermPool};
-
-/// Splits `t` into its top-level conjuncts (`[t]` when not an `And`).
-fn conjuncts(pool: &TermPool, t: TermId) -> Vec<TermId> {
-    match pool.node(t) {
-        Node::And(parts) => parts.clone(),
-        _ => vec![t],
-    }
-}
+use crate::solver::{check, fresh_solver, solve_lazily, SolverOptions};
+use crate::term::{TermId, TermPool};
 
 /// A deletion-minimal unsatisfiable subset of `t`'s top-level
 /// conjuncts. Returns `None` when `t` is satisfiable.
@@ -24,25 +16,16 @@ fn conjuncts(pool: &TermPool, t: TermId) -> Vec<TermId> {
 /// The result is minimal with respect to removing any *single* element
 /// — the standard deletion-based core, quadratic in the number of
 /// conjuncts with one solver call each.
-pub fn minimal_core(
-    pool: &TermPool,
-    t: TermId,
-    opts: &SolverOptions,
-    stats: &SolverStats,
-) -> Option<Vec<TermId>> {
-    if check(pool, t, opts, stats).is_sat() {
+pub fn minimal_core(pool: &TermPool, t: TermId, opts: &SolverOptions) -> Option<Vec<TermId>> {
+    if check(pool, t, opts).is_sat() {
         return None;
     }
-    let mut core = conjuncts(pool, t);
+    let mut core = pool.conjuncts_of(t);
     let mut i = 0;
     while i < core.len() {
         let mut trial = core.clone();
         trial.remove(i);
-        // Re-conjoin on a scratch clone of the pool-owned parts: the
-        // conjunction of existing TermIds needs no new interning when
-        // checked piecewise, so assemble via a fresh And in a local
-        // clone-free way — re-use `check_conjunction`.
-        if !check_conjunction(pool, &trial, opts, stats) {
+        if !check_conjunction(pool, &trial) {
             core.remove(i);
         } else {
             i += 1;
@@ -53,76 +36,29 @@ pub fn minimal_core(
 
 /// Whether the conjunction of `parts` is satisfiable, without mutating
 /// the pool (each part is encoded as its own asserted root).
-pub fn check_conjunction(
-    pool: &TermPool,
-    parts: &[TermId],
-    _opts: &SolverOptions,
-    stats: &SolverStats,
-) -> bool {
-    use crate::cnf::{encode, Encoding};
-    use crate::sat::{SatResult, SatSolver, Var};
-    use crate::theory::{check_orders, OrderEdge, TheoryResult};
-
-    let mut sat = SatSolver::new();
-    let mut enc = Encoding::default();
-    for &p in parts {
-        encode(pool, p, &mut sat, &mut enc);
-    }
-    loop {
-        match sat.solve() {
-            SatResult::Unsat => return false,
-            SatResult::Sat(model) => {
-                let oriented = enc.oriented_edges(&model);
-                let edges: Vec<OrderEdge> = oriented
-                    .iter()
-                    .map(|&(from, to, var)| OrderEdge {
-                        from,
-                        to,
-                        atom: var.index(),
-                    })
-                    .collect();
-                match check_orders(&edges) {
-                    TheoryResult::Consistent => return true,
-                    TheoryResult::Conflict(vars) => {
-                        stats
-                            .theory_lemmas
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let clause: Vec<crate::sat::Lit> = vars
-                            .iter()
-                            .map(|&vi| crate::sat::Lit::new(Var(vi as u32), !model[vi]))
-                            .collect();
-                        if !sat.add_clause(&clause) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-    }
+pub fn check_conjunction(pool: &TermPool, parts: &[TermId]) -> bool {
+    let (mut sat, enc) = fresh_solver(pool, parts);
+    solve_lazily(&mut sat, &enc, &[], None, &mut 0).is_some()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn setup() -> (TermPool, SolverOptions, SolverStats) {
-        (
-            TermPool::new(),
-            SolverOptions::default(),
-            SolverStats::default(),
-        )
+    fn setup() -> (TermPool, SolverOptions) {
+        (TermPool::new(), SolverOptions::default())
     }
 
     #[test]
     fn sat_input_has_no_core() {
-        let (mut pool, opts, stats) = setup();
+        let (mut pool, opts) = setup();
         let a = pool.bool_atom(0);
-        assert!(minimal_core(&pool, a, &opts, &stats).is_none());
+        assert!(minimal_core(&pool, a, &opts).is_none());
     }
 
     #[test]
     fn contradictory_pair_is_the_whole_core() {
-        let (mut pool, opts, stats) = setup();
+        let (mut pool, opts) = setup();
         let a = pool.bool_atom(0);
         let b = pool.bool_atom(1);
         let c = pool.bool_atom(2);
@@ -133,7 +69,7 @@ mod tests {
         let nb = pool.not(b);
         let d2 = pool.and2(na, nb);
         let f = pool.and([d1, d2, c]);
-        let core = minimal_core(&pool, f, &opts, &stats).expect("unsat");
+        let core = minimal_core(&pool, f, &opts).expect("unsat");
         // c is irrelevant and must be deleted.
         assert!(!core.contains(&c), "{core:?}");
         assert!(core.len() >= 2);
@@ -141,38 +77,40 @@ mod tests {
 
     #[test]
     fn order_cycle_core_excludes_unrelated_orders() {
-        let (mut pool, opts, stats) = setup();
+        let (mut pool, opts) = setup();
         let o12 = pool.order_lt(1, 2);
         let o23 = pool.order_lt(2, 3);
         let o31 = pool.order_lt(3, 1);
         let unrelated = pool.order_lt(10, 11);
         let f = pool.and([o12, o23, o31, unrelated]);
-        let core = minimal_core(&pool, f, &opts, &stats).expect("unsat");
+        let core = minimal_core(&pool, f, &opts).expect("unsat");
         assert!(!core.contains(&unrelated), "{core:?}");
         assert_eq!(core.len(), 3);
     }
 
     #[test]
     fn core_stays_unsat() {
-        let (mut pool, opts, stats) = setup();
+        let (mut pool, opts) = setup();
         let o12 = pool.order_lt(1, 2);
         let o21 = pool.order_lt(2, 1);
         let x = pool.bool_atom(5);
         let f = pool.and([o12, o21, x]);
         // o21 = ¬o12 folds to false at construction; the whole term is ff.
         if f == pool.ff() {
-            let core = minimal_core(&pool, f, &opts, &stats).expect("unsat");
+            let core = minimal_core(&pool, f, &opts).expect("unsat");
             assert_eq!(core, vec![pool.ff()]);
         }
     }
 
     #[test]
     fn check_conjunction_matches_check() {
-        let (mut pool, opts, stats) = setup();
+        let (mut pool, opts) = setup();
         let a = pool.bool_atom(0);
         let o = pool.order_lt(1, 2);
-        assert!(check_conjunction(&pool, &[a, o], &opts, &stats));
+        let ao = pool.and2(a, o);
+        assert!(check_conjunction(&pool, &[a, o]));
+        assert!(check(&pool, ao, &opts).is_sat());
         let na = pool.not(a);
-        assert!(!check_conjunction(&pool, &[a, na], &opts, &stats));
+        assert!(!check_conjunction(&pool, &[a, na]));
     }
 }

@@ -15,26 +15,27 @@
 //!   VSIDS, Luby restarts, assumptions);
 //! * [`theory`] — the order theory: a model is consistent iff its
 //!   oriented order edges are acyclic;
-//! * [`check`]/[`check_all`] — the lazy CDCL(T) loop plus the §5.2
-//!   optimizations (semi-decision prefilter, per-query parallelism);
-//! * [`check_all_grouped`] — query families solved incrementally on
-//!   one persistent solver each.
+//! * [`check`] — the lazy CDCL(T) loop behind the semi-decision
+//!   prefilter of §5.2; [`check_witness_model`] and [`minimal_core`]
+//!   run the same loop for a replayable model and a refutation core;
+//! * [`check_all_grouped`] — a batch of queries, solved in parallel
+//!   on fresh solvers or as query families on one persistent solver
+//!   each, with one [`QueryStats`] work record per query.
 //!
 //! # Examples
 //!
 //! Refuting the Fig. 2 false positive:
 //!
 //! ```
-//! use canary_smt::{check, SmtResult, SolverOptions, SolverStats, TermPool};
+//! use canary_smt::{check, SmtResult, SolverOptions, TermPool};
 //!
 //! let mut pool = TermPool::new();
 //! let theta = pool.bool_atom(0);
 //! let not_theta = pool.not(theta);
 //! let store_before_load = pool.order_lt(13, 6);
 //! let phi = pool.and([theta, not_theta, store_before_load]);
-//! let stats = SolverStats::default();
 //! assert_eq!(
-//!     check(&pool, phi, &SolverOptions::default(), &stats),
+//!     check(&pool, phi, &SolverOptions::default()),
 //!     SmtResult::Unsat
 //! );
 //! ```
@@ -53,11 +54,10 @@ pub mod theory;
 pub use cnf::{encode, encode_gated, Encoding};
 pub use core::{check_conjunction, minimal_core};
 pub use sat::{Lit, SatResult, SatSolver, SatStats, Var};
-pub use simplify::{obviously_false, obviously_true};
+pub use simplify::obviously_false;
 pub use solver::{
-    check, check_all, check_all_grouped, check_all_recorded, check_counted, check_witness,
-    check_witness_model, GroupedOutcome, QueryCache, QueryOutcome, QueryStats, SmtResult,
-    SolverOptions, SolverStats, SolverStrategy, WitnessModel,
+    check, check_all_grouped, check_witness_model, is_sorted_subset, GroupedOutcome, QueryCache,
+    QueryOutcome, QueryStats, SmtResult, SolverOptions, SolverStrategy, WitnessModel,
 };
 pub use term::{AtomSet, EventId, Node, TermId, TermPool};
 pub use theory::{check_orders, orders_consistent, OrderEdge, TheoryResult};

@@ -19,7 +19,7 @@ pub fn obviously_false(pool: &TermPool, t: TermId) -> bool {
         return true;
     }
     // Collect order literals conjoined at the top level.
-    let lits = top_conjuncts(pool, t);
+    let lits = pool.conjuncts_of(t);
     let mut edges: Vec<(u32, u32)> = Vec::new();
     for l in lits {
         match pool.node(l) {
@@ -36,19 +36,6 @@ pub fn obviously_false(pool: &TermPool, t: TermId) -> bool {
         return !orders_consistent(&edges);
     }
     false
-}
-
-/// Whether `t` is the constant `true`.
-pub fn obviously_true(pool: &TermPool, t: TermId) -> bool {
-    t == pool.tt()
-}
-
-/// The list of conjuncts when `t` is a conjunction, else `[t]`.
-pub fn top_conjuncts(pool: &TermPool, t: TermId) -> Vec<TermId> {
-    match pool.node(t) {
-        Node::And(parts) => parts.clone(),
-        _ => vec![t],
-    }
 }
 
 #[cfg(test)]
@@ -102,8 +89,6 @@ mod tests {
         let nb = p.not(b);
         let t = p.and([a, nb]);
         assert!(!obviously_false(&p, t));
-        assert!(!obviously_true(&p, t));
-        assert!(obviously_true(&p, p.tt()));
     }
 
     #[test]

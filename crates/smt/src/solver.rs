@@ -2,7 +2,11 @@
 //!
 //! The propositional skeleton of `Φ_all` is solved by the CDCL core;
 //! full models are checked against the strict-partial-order theory, and
-//! theory conflicts come back as blocking lemmas. Two §5.2
+//! theory conflicts come back as blocking lemmas. One private loop,
+//! `solve_lazily`, does this for every caller: [`check`] and the fresh
+//! strategy, [`check_witness_model`], the members of a query family
+//! and [`check_conjunction`](crate::core::check_conjunction). Each
+//! caller only sets up its solver and reads the result. Two §5.2
 //! optimizations are implemented:
 //!
 //! 1. the semi-decision *prefilter* ([`crate::simplify`]), switchable
@@ -24,10 +28,11 @@
 //! Refuted members leave behind an UNSAT-core subsumption entry in a
 //! [`QueryCache`], and hash-consed duplicate queries are answered from
 //! a result memo, so whole queries are discharged without touching the
-//! CDCL core at all.
+//! CDCL core at all. Each query's work is recorded in its own
+//! [`QueryStats`].
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -99,8 +104,8 @@ const EPOCH_FAMILIES: usize = 16;
 pub struct SolverOptions {
     /// Apply the semi-decision prefilter before full solving.
     pub prefilter: bool,
-    /// Worker threads for [`check_all`] and [`check_all_grouped`]; 1
-    /// disables parallelism.
+    /// Worker threads for [`check_all_grouped`]; 1 disables
+    /// parallelism.
     pub num_threads: usize,
     /// Fresh-per-query or incremental query-family solving.
     pub strategy: SolverStrategy,
@@ -116,56 +121,9 @@ impl Default for SolverOptions {
     }
 }
 
-/// Aggregate solver statistics (for the scalability tables). The CDCL
-/// search counters (decisions, conflicts, propagations, restarts,
-/// learned clauses) accumulate across every query checked against this
-/// instance — the per-query breakdown is [`QueryStats`].
-#[derive(Debug, Default)]
-pub struct SolverStats {
-    /// Queries answered by the prefilter alone.
-    pub prefiltered: AtomicU64,
-    /// Full CDCL(T) queries run.
-    pub solved: AtomicU64,
-    /// Theory lemmas learned across all queries.
-    pub theory_lemmas: AtomicU64,
-    /// CDCL decisions across all queries.
-    pub decisions: AtomicU64,
-    /// CDCL conflicts across all queries.
-    pub conflicts: AtomicU64,
-    /// Unit propagations across all queries.
-    pub propagations: AtomicU64,
-    /// Restarts across all queries.
-    pub restarts: AtomicU64,
-    /// Learned (conflict + theory) clauses retained across all queries.
-    pub learned: AtomicU64,
-    /// Queries answered from the hash-consed result memo.
-    pub memo_hits: AtomicU64,
-    /// Queries refuted by UNSAT-core subsumption.
-    pub core_subsumed: AtomicU64,
-}
-
-impl SolverStats {
-    /// Snapshot of (prefiltered, solved, theory lemmas).
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.prefiltered.load(Ordering::Relaxed),
-            self.solved.load(Ordering::Relaxed),
-            self.theory_lemmas.load(Ordering::Relaxed),
-        )
-    }
-
-    fn absorb(&self, q: &QueryStats) {
-        self.decisions.fetch_add(q.decisions, Ordering::Relaxed);
-        self.conflicts.fetch_add(q.conflicts, Ordering::Relaxed);
-        self.propagations
-            .fetch_add(q.propagations, Ordering::Relaxed);
-        self.restarts.fetch_add(q.restarts, Ordering::Relaxed);
-        self.learned.fetch_add(q.learned, Ordering::Relaxed);
-    }
-}
-
 /// Per-query solver work counters — the unit of attribution the
-/// observability layer reports (which query was hot, and why).
+/// observability layer reports (which query was hot, and why), and the
+/// solver's only work record.
 ///
 /// The counters are fully deterministic: the CDCL core explores the
 /// same tree for the same clauses, regardless of how many *other*
@@ -189,83 +147,109 @@ pub struct QueryStats {
     pub theory_lemmas: u64,
 }
 
-/// Decides one term with the CDCL(T) loop.
-pub fn check(pool: &TermPool, t: TermId, opts: &SolverOptions, stats: &SolverStats) -> SmtResult {
-    check_counted(pool, t, opts, stats).0
-}
-
-/// Like [`check`], additionally returning the query's own work
-/// counters (also accumulated into `stats`).
-pub fn check_counted(
-    pool: &TermPool,
-    t: TermId,
-    opts: &SolverOptions,
-    stats: &SolverStats,
-) -> (SmtResult, QueryStats) {
-    let mut q = QueryStats::default();
-    if opts.prefilter {
-        if t == pool.tt() {
-            stats.prefiltered.fetch_add(1, Ordering::Relaxed);
-            q.prefiltered = true;
-            return (SmtResult::Sat, q);
-        }
-        if obviously_false(pool, t) {
-            stats.prefiltered.fetch_add(1, Ordering::Relaxed);
-            q.prefiltered = true;
-            return (SmtResult::Unsat, q);
-        }
+impl QueryStats {
+    /// Adds the CDCL work `sat` did since its counters read `base` and
+    /// it held `learnt_before` learned clauses.
+    fn add_work(&mut self, sat: &SatSolver, base: SatStats, learnt_before: u64) {
+        self.decisions += sat.stats.decisions - base.decisions;
+        self.conflicts += sat.stats.conflicts - base.conflicts;
+        self.propagations += sat.stats.propagations - base.propagations;
+        self.restarts += sat.stats.restarts - base.restarts;
+        self.learned += sat.num_learnt() as u64 - learnt_before;
     }
-    stats.solved.fetch_add(1, Ordering::Relaxed);
-    let res = solve_fresh(pool, t, stats, &mut q);
-    stats.absorb(&q);
-    (res, q)
 }
 
-/// The core lazy CDCL(T) loop on a fresh solver.
-fn solve_fresh(pool: &TermPool, t: TermId, stats: &SolverStats, q: &mut QueryStats) -> SmtResult {
-    let mut sat = SatSolver::new();
-    let mut enc = Encoding::default();
-    encode(pool, t, &mut sat, &mut enc);
-    let result = loop {
-        match sat.solve() {
-            SatResult::Unsat => break SmtResult::Unsat,
-            SatResult::Sat(model) => {
-                let oriented = enc.oriented_edges(&model);
-                let edges: Vec<OrderEdge> = oriented
+/// The lazy CDCL(T) loop: solves the Boolean skeleton under
+/// `assumptions`, checks the model's oriented order atoms for a cycle
+/// and blocks each cycle with a lemma, until a model is acyclic
+/// (returned) or none is left (`None`). `scope`, when given, limits the
+/// theory check to those order-atom variables; `lemmas` counts the
+/// lemmas added.
+pub(crate) fn solve_lazily(
+    sat: &mut SatSolver,
+    enc: &Encoding,
+    assumptions: &[Lit],
+    scope: Option<&HashSet<Var>>,
+    lemmas: &mut u64,
+) -> Option<Vec<bool>> {
+    loop {
+        let SatResult::Sat(model) = sat.solve_with_assumptions(assumptions) else {
+            return None;
+        };
+        let edges: Vec<OrderEdge> = enc
+            .oriented_edges(&model)
+            .into_iter()
+            .filter(|(_, _, var)| scope.is_none_or(|s| s.contains(var)))
+            .map(|(from, to, var)| OrderEdge {
+                from,
+                to,
+                atom: var.index(),
+            })
+            .collect();
+        match check_orders(&edges) {
+            TheoryResult::Consistent => return Some(model),
+            TheoryResult::Conflict(vars) => {
+                *lemmas += 1;
+                // Block this orientation of the cycle. The lemma is
+                // theory-valid, so it stays sound for every later solve
+                // on the same solver (the rest of a query family).
+                let clause: Vec<Lit> = vars
                     .iter()
-                    .map(|&(from, to, var)| OrderEdge {
-                        from,
-                        to,
-                        atom: var.index(),
-                    })
+                    .map(|&vi| Lit::new(Var(vi as u32), !model[vi]))
                     .collect();
-                match check_orders(&edges) {
-                    TheoryResult::Consistent => break SmtResult::Sat,
-                    TheoryResult::Conflict(vars) => {
-                        stats.theory_lemmas.fetch_add(1, Ordering::Relaxed);
-                        q.theory_lemmas += 1;
-                        // Block this orientation of the cycle.
-                        let clause: Vec<Lit> = vars
-                            .iter()
-                            .map(|&vi| {
-                                let v = Var(vi as u32);
-                                Lit::new(v, !model[vi])
-                            })
-                            .collect();
-                        if !sat.add_clause(&clause) {
-                            break SmtResult::Unsat;
-                        }
-                    }
+                if !sat.add_clause(&clause) {
+                    return None;
                 }
             }
         }
+    }
+}
+
+/// A fresh solver with each of `roots` encoded and asserted.
+pub(crate) fn fresh_solver(pool: &TermPool, roots: &[TermId]) -> (SatSolver, Encoding) {
+    let mut sat = SatSolver::new();
+    let mut enc = Encoding::default();
+    for &r in roots {
+        encode(pool, r, &mut sat, &mut enc);
+    }
+    (sat, enc)
+}
+
+/// The prefilter's verdict on `t`, when `opts` enables it and it has
+/// one: `true` is sat, an obvious contradiction ([`obviously_false`])
+/// unsat.
+fn prefilter(pool: &TermPool, t: TermId, opts: &SolverOptions) -> Option<SmtResult> {
+    if !opts.prefilter {
+        None
+    } else if t == pool.tt() {
+        Some(SmtResult::Sat)
+    } else if obviously_false(pool, t) {
+        Some(SmtResult::Unsat)
+    } else {
+        None
+    }
+}
+
+/// Decides one term with the CDCL(T) loop.
+pub fn check(pool: &TermPool, t: TermId, opts: &SolverOptions) -> SmtResult {
+    check_fresh(pool, t, opts).0
+}
+
+/// [`check`] plus the query's own work counters: the prefilter (when
+/// enabled), then the lazy loop on a fresh solver.
+fn check_fresh(pool: &TermPool, t: TermId, opts: &SolverOptions) -> (SmtResult, QueryStats) {
+    let mut q = QueryStats::default();
+    if let Some(r) = prefilter(pool, t, opts) {
+        q.prefiltered = true;
+        return (r, q);
+    }
+    let (mut sat, enc) = fresh_solver(pool, &[t]);
+    let result = match solve_lazily(&mut sat, &enc, &[], None, &mut q.theory_lemmas) {
+        Some(_) => SmtResult::Sat,
+        None => SmtResult::Unsat,
     };
-    q.decisions += sat.stats.decisions;
-    q.conflicts += sat.stats.conflicts;
-    q.propagations += sat.stats.propagations;
-    q.restarts += sat.stats.restarts;
-    q.learned += sat.num_learnt() as u64;
-    result
+    q.add_work(&sat, SatStats::default(), 0);
+    (result, q)
 }
 
 /// A satisfying theory model of a query, in replay-friendly form: the
@@ -279,7 +263,7 @@ pub struct WitnessModel {
     /// (a topological order of the model's oriented order atoms).
     /// Events that appear in no order atom are omitted — their
     /// position is unconstrained.
-    pub events: Vec<crate::term::EventId>,
+    pub events: Vec<EventId>,
     /// The model's Boolean-atom assignment as sorted
     /// `(atom index, value)` pairs.
     pub bools: Vec<(u32, bool)>,
@@ -289,83 +273,29 @@ pub struct WitnessModel {
     /// topological order in [`WitnessModel::events`] was built from —
     /// report provenance records it as the SMT justification of the
     /// witness interleaving.
-    pub orders: Vec<(crate::term::EventId, crate::term::EventId)>,
+    pub orders: Vec<(EventId, EventId)>,
 }
 
-/// A satisfying witness: the events of the query arranged in one
-/// concrete sequentially consistent execution order (a topological
-/// order of the model's oriented order atoms).
-///
-/// Returns `None` when the query is unsatisfiable. Events that appear
-/// in no order atom are omitted (their position is unconstrained).
-pub fn check_witness(
-    pool: &TermPool,
-    t: TermId,
-    stats: &SolverStats,
-) -> Option<Vec<crate::term::EventId>> {
-    check_witness_model(pool, t, stats).map(|w| w.events)
-}
-
-/// Like [`check_witness`], additionally returning the Boolean-atom
-/// assignment of the model — everything a concrete interpreter needs
-/// to replay the witness (schedule + branch valuation).
-pub fn check_witness_model(
-    pool: &TermPool,
-    t: TermId,
-    stats: &SolverStats,
-) -> Option<WitnessModel> {
-    let mut sat = SatSolver::new();
-    let mut enc = Encoding::default();
-    encode(pool, t, &mut sat, &mut enc);
-    loop {
-        match sat.solve() {
-            SatResult::Unsat => return None,
-            SatResult::Sat(model) => {
-                let oriented = enc.oriented_edges(&model);
-                let edges: Vec<OrderEdge> = oriented
-                    .iter()
-                    .map(|&(from, to, var)| OrderEdge {
-                        from,
-                        to,
-                        atom: var.index(),
-                    })
-                    .collect();
-                match check_orders(&edges) {
-                    TheoryResult::Consistent => {
-                        let mut orders: Vec<(u32, u32)> =
-                            oriented.iter().map(|&(a, b, _)| (a, b)).collect();
-                        orders.sort_unstable();
-                        orders.dedup();
-                        return Some(WitnessModel {
-                            events: topological_events(&oriented),
-                            bools: enc.bool_assignment(&model),
-                            orders,
-                        });
-                    }
-                    TheoryResult::Conflict(vars) => {
-                        stats.theory_lemmas.fetch_add(1, Ordering::Relaxed);
-                        let clause: Vec<Lit> = vars
-                            .iter()
-                            .map(|&vi| {
-                                let v = Var(vi as u32);
-                                Lit::new(v, !model[vi])
-                            })
-                            .collect();
-                        if !sat.add_clause(&clause) {
-                            return None;
-                        }
-                    }
-                }
-            }
-        }
-    }
+/// A satisfying witness of `t` — everything a concrete interpreter
+/// needs to replay it (schedule + branch valuation) — or `None` when
+/// `t` is unsatisfiable. No prefilter runs: a witness needs a model.
+pub fn check_witness_model(pool: &TermPool, t: TermId) -> Option<WitnessModel> {
+    let (mut sat, enc) = fresh_solver(pool, &[t]);
+    let model = solve_lazily(&mut sat, &enc, &[], None, &mut 0)?;
+    let oriented = enc.oriented_edges(&model);
+    let mut orders: Vec<(EventId, EventId)> = oriented.iter().map(|&(a, b, _)| (a, b)).collect();
+    orders.sort_unstable();
+    orders.dedup();
+    Some(WitnessModel {
+        events: topological_events(&oriented),
+        bools: enc.bool_assignment(&model),
+        orders,
+    })
 }
 
 /// Topologically sorts the events of an acyclic oriented edge set
 /// (Kahn's algorithm; ties broken by event id for determinism).
-fn topological_events(
-    oriented: &[(crate::term::EventId, crate::term::EventId, Var)],
-) -> Vec<crate::term::EventId> {
+fn topological_events(oriented: &[(EventId, EventId, Var)]) -> Vec<EventId> {
     use std::collections::{BTreeMap, BTreeSet};
     let mut succs: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
     let mut indeg: BTreeMap<u32, usize> = BTreeMap::new();
@@ -426,45 +356,6 @@ pub struct QueryOutcome {
     /// so it feeds human-facing explanations only, never the canonical
     /// audit export.
     pub core: Option<Vec<TermId>>,
-}
-
-/// Solves many independent queries, optionally in parallel (§5.2:
-/// "the constraints on different source-sink paths are independent of
-/// each other, which gives us the ability to leverage parallelization").
-pub fn check_all(
-    pool: &TermPool,
-    queries: &[TermId],
-    opts: &SolverOptions,
-    stats: &SolverStats,
-) -> Vec<SmtResult> {
-    check_all_recorded(pool, queries, opts, stats)
-        .into_iter()
-        .map(|o| o.result)
-        .collect()
-}
-
-/// Like [`check_all`], returning the full per-query record (verdict,
-/// work counters, wall time) in query order.
-pub fn check_all_recorded(
-    pool: &TermPool,
-    queries: &[TermId],
-    opts: &SolverOptions,
-    stats: &SolverStats,
-) -> Vec<QueryOutcome> {
-    par_map(queries, opts.num_threads, |&q| {
-        let started = Instant::now();
-        let (result, qstats) = check_counted(pool, q, opts, stats);
-        QueryOutcome {
-            result,
-            stats: qstats,
-            started,
-            wall: started.elapsed(),
-            memo_hit: false,
-            core_subsumed: false,
-            incremental: false,
-            core: None,
-        }
-    })
 }
 
 /// Applies `f` to every item on at most `threads` scoped workers, which
@@ -569,11 +460,6 @@ impl QueryCache {
         }
     }
 
-    /// Number of memoized verdicts.
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
-
     /// Number of cached UNSAT cores.
     pub fn core_len(&self) -> usize {
         self.cores.len()
@@ -581,8 +467,9 @@ impl QueryCache {
 }
 
 /// Whether sorted `sub` is a subset of sorted `sup` (two-pointer walk;
-/// exact — never fires on a non-superset).
-fn is_sorted_subset(sub: &[TermId], sup: &[TermId]) -> bool {
+/// exact — never fires on a non-superset). The UNSAT-core subsumption
+/// test of [`QueryCache`].
+pub fn is_sorted_subset(sub: &[TermId], sup: &[TermId]) -> bool {
     let mut i = 0;
     for &x in sup {
         if i == sub.len() {
@@ -723,7 +610,6 @@ fn solve_family(
     pool: &TermPool,
     queries: &[TermId],
     opts: &SolverOptions,
-    stats: &SolverStats,
     snapshot: &QueryCache,
 ) -> FamilyOutput {
     let conjs: Vec<Vec<TermId>> = queries.iter().map(|&t| pool.conjuncts_of(t)).collect();
@@ -753,16 +639,10 @@ fn solve_family(
         let mut core: Option<Vec<TermId>> = None;
         // The prefilter runs first in both strategies, so the
         // `prefiltered` counter is strategy-invariant.
-        let result = if opts.prefilter && t == pool.tt() {
-            stats.prefiltered.fetch_add(1, Ordering::Relaxed);
+        let result = if let Some(r) = prefilter(pool, t, opts) {
             q.prefiltered = true;
-            SmtResult::Sat
-        } else if opts.prefilter && obviously_false(pool, t) {
-            stats.prefiltered.fetch_add(1, Ordering::Relaxed);
-            q.prefiltered = true;
-            SmtResult::Unsat
+            r
         } else if let Some(r) = snapshot.lookup(t).or_else(|| local.lookup(t)) {
-            stats.memo_hits.fetch_add(1, Ordering::Relaxed);
             memo_hit = true;
             r
         } else if let Some(cached) = snapshot
@@ -770,13 +650,11 @@ fn solve_family(
             .or_else(|| local.subsuming_core(&conjs[i]))
             .map(<[TermId]>::to_vec)
         {
-            stats.core_subsumed.fetch_add(1, Ordering::Relaxed);
             core_subsumed = true;
             core = Some(cached);
             local.memoize(t, SmtResult::Unsat);
             SmtResult::Unsat
         } else {
-            stats.solved.fetch_add(1, Ordering::Relaxed);
             incremental = true;
             let was_absent = fam.is_none();
             let fam = fam.get_or_insert_with(|| FamilySolver::new(pool, &shared));
@@ -787,11 +665,9 @@ fn solve_family(
             } else {
                 fam.sat.stats
             };
-            let (r, member_core) = solve_member(
-                pool, fam, &shared, &conjs[i], stats, &mut q, &mut local, base,
-            );
+            let (r, member_core) =
+                solve_member(pool, fam, &shared, &conjs[i], &mut q, &mut local, base);
             core = member_core;
-            stats.absorb(&q);
             local.memoize(t, r);
             r
         };
@@ -816,18 +692,17 @@ fn solve_family(
     }
 }
 
-/// One member's CDCL(T) loop on the persistent family solver. On
-/// refutation, records the refuted conjunct set (the conjuncts named by
-/// the assumption core) into `local` and returns it as the member's
-/// certificate. `base` is the solver-counter baseline
-/// this member's work is measured against.
-#[allow(clippy::too_many_arguments)]
+/// Solves one member on the persistent family solver: the lazy loop
+/// under the member's activation literals, its theory check scoped to
+/// the member's own order atoms. On refutation, records the refuted
+/// conjunct set (the conjuncts named by the assumption core) into
+/// `local` and returns it as the member's certificate. `base` is the
+/// solver-counter baseline this member's work is measured against.
 fn solve_member(
     pool: &TermPool,
     fam: &mut FamilySolver,
     shared: &[TermId],
     conj: &[TermId],
-    stats: &SolverStats,
     q: &mut QueryStats,
     local: &mut QueryCache,
     base: SatStats,
@@ -876,106 +751,79 @@ fn solve_member(
             }
         }
     }
-    let before = base;
     let learnt_before = fam.sat.num_learnt() as u64;
-    let result = loop {
-        match fam.sat.solve_with_assumptions(&assumptions) {
-            SatResult::Unsat => break SmtResult::Unsat,
-            SatResult::Sat(model) => {
-                let oriented = fam.enc.oriented_edges(&model);
-                let edges: Vec<OrderEdge> = oriented
-                    .iter()
-                    .filter(|&&(_, _, var)| scope.contains(&var))
-                    .map(|&(from, to, var)| OrderEdge {
-                        from,
-                        to,
-                        atom: var.index(),
-                    })
-                    .collect();
-                match check_orders(&edges) {
-                    TheoryResult::Consistent => break SmtResult::Sat,
-                    TheoryResult::Conflict(vars) => {
-                        stats.theory_lemmas.fetch_add(1, Ordering::Relaxed);
-                        q.theory_lemmas += 1;
-                        // Block this orientation of the cycle. The
-                        // lemma is theory-valid, so it stays sound for
-                        // every later member of the family.
-                        let clause: Vec<Lit> = vars
-                            .iter()
-                            .map(|&vi| {
-                                let v = Var(vi as u32);
-                                Lit::new(v, !model[vi])
-                            })
-                            .collect();
-                        if !fam.sat.add_clause(&clause) {
-                            break SmtResult::Unsat;
-                        }
-                    }
+    let model = solve_lazily(
+        &mut fam.sat,
+        &fam.enc,
+        &assumptions,
+        Some(&scope),
+        &mut q.theory_lemmas,
+    );
+    q.add_work(&fam.sat, base, learnt_before);
+    if model.is_some() {
+        return (SmtResult::Sat, None);
+    }
+    let refuted = if fam.sat.is_ok() {
+        if fam.shared_acts.is_empty() {
+            // No shared prefix: record the deltas in the assumption
+            // core (an empty set is not cached, see
+            // `QueryCache::insert_core`).
+            let mut set: Vec<TermId> = shared.to_vec();
+            for l in fam.sat.assumption_core() {
+                if let Some(&d) = by_lit.get(l) {
+                    set.push(d);
                 }
+            }
+            set.sort_unstable();
+            set.dedup();
+            set
+        } else {
+            // The assumption core names exactly the responsible
+            // conjuncts, shared or delta — the smallest, most
+            // subsuming core the solver can certify.
+            let mut set: Vec<TermId> = fam
+                .sat
+                .assumption_core()
+                .iter()
+                .filter_map(|l| by_lit.get(l).copied())
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            if set.is_empty() {
+                // Conflict independent of every activation literal;
+                // claim no more than this member's own formula.
+                conj.to_vec()
+            } else {
+                set
             }
         }
+    } else if fam.shared_acts.is_empty() {
+        // The clause set alone went unsat with no shared prefix to
+        // blame: nothing is cached.
+        shared.to_vec()
+    } else {
+        // Refuted at clause level: still a sound refutation of this
+        // member's formula, but nothing smaller can be certified.
+        conj.to_vec()
     };
-    q.decisions += fam.sat.stats.decisions - before.decisions;
-    q.conflicts += fam.sat.stats.conflicts - before.conflicts;
-    q.propagations += fam.sat.stats.propagations - before.propagations;
-    q.restarts += fam.sat.stats.restarts - before.restarts;
-    q.learned += fam.sat.num_learnt() as u64 - learnt_before;
-    let mut core = None;
-    if result == SmtResult::Unsat {
-        let refuted = if fam.sat.is_ok() {
-            if fam.shared_acts.is_empty() {
-                // No shared prefix: record the deltas in the assumption
-                // core (an empty set is not cached, see
-                // `QueryCache::insert_core`).
-                let mut set: Vec<TermId> = shared.to_vec();
-                for l in fam.sat.assumption_core() {
-                    if let Some(&d) = by_lit.get(l) {
-                        set.push(d);
-                    }
-                }
-                set.sort_unstable();
-                set.dedup();
-                set
-            } else {
-                // The assumption core names exactly the responsible
-                // conjuncts, shared or delta — the smallest, most
-                // subsuming core the solver can certify.
-                let mut set: Vec<TermId> = fam
-                    .sat
-                    .assumption_core()
-                    .iter()
-                    .filter_map(|l| by_lit.get(l).copied())
-                    .collect();
-                set.sort_unstable();
-                set.dedup();
-                if set.is_empty() {
-                    // Conflict independent of every activation literal;
-                    // claim no more than this member's own formula.
-                    conj.to_vec()
-                } else {
-                    set
-                }
-            }
-        } else if fam.shared_acts.is_empty() {
-            // The clause set alone went unsat with no shared prefix to
-            // blame: nothing is cached.
-            shared.to_vec()
-        } else {
-            // Refuted at clause level: still a sound refutation of this
-            // member's formula, but nothing smaller can be certified.
-            conj.to_vec()
-        };
-        local.insert_core(refuted.clone());
-        core = Some(refuted);
-    }
-    (result, core)
+    local.insert_core(refuted.clone());
+    (SmtResult::Unsat, Some(refuted))
 }
 
-/// Like [`check_all_recorded`], but queries carry a *group key*
-/// (`groups[i]`, e.g. the candidate's source label): maximal contiguous
-/// runs of equal keys form query families, solved per
-/// `opts.strategy`. Families are formed in candidate order and
-/// processed in epochs of [`EPOCH_FAMILIES`] consecutive families.
+/// Solves a batch of queries, each carrying a *group key* (`groups[i]`,
+/// e.g. the candidate's source label), per `opts.strategy`, and returns
+/// one record per query (verdict, work counters, wall time) in query
+/// order.
+///
+/// Under [`SolverStrategy::Fresh`] every query is checked on its own
+/// fresh solver, in parallel with `num_threads > 1` (§5.2: "the
+/// constraints on different source-sink paths are independent of each
+/// other, which gives us the ability to leverage parallelization").
+///
+/// Under [`SolverStrategy::Incremental`] maximal contiguous runs of
+/// equal keys form query families. Families are formed in candidate
+/// order and processed in epochs of `EPOCH_FAMILIES` (16) consecutive
+/// families.
 /// Within an epoch, families are solved independently (in parallel
 /// with `num_threads > 1`) against a frozen snapshot of `cache`; at the
 /// epoch barrier their outcomes are committed and their cache additions
@@ -987,13 +835,26 @@ pub fn check_all_grouped(
     queries: &[TermId],
     groups: &[u64],
     opts: &SolverOptions,
-    stats: &SolverStats,
     cache: &mut QueryCache,
 ) -> GroupedOutcome {
     assert_eq!(queries.len(), groups.len(), "one group key per query");
     if opts.strategy == SolverStrategy::Fresh {
+        let outcomes = par_map(queries, opts.num_threads, |&t| {
+            let started = Instant::now();
+            let (result, stats) = check_fresh(pool, t, opts);
+            QueryOutcome {
+                result,
+                stats,
+                started,
+                wall: started.elapsed(),
+                memo_hit: false,
+                core_subsumed: false,
+                incremental: false,
+                core: None,
+            }
+        });
         return GroupedOutcome {
-            outcomes: check_all_recorded(pool, queries, opts, stats),
+            outcomes,
             families: 0,
             clauses_retained: 0,
         };
@@ -1011,7 +872,7 @@ pub fn check_all_grouped(
     for epoch in fams.chunks(EPOCH_FAMILIES) {
         let snapshot: &QueryCache = cache;
         let outputs = par_map(epoch, opts.num_threads, |&(s, e)| {
-            solve_family(pool, &queries[s..e], opts, stats, snapshot)
+            solve_family(pool, &queries[s..e], opts, snapshot)
         });
         for out in outputs {
             outcomes.extend(out.outcomes);
@@ -1030,10 +891,6 @@ pub fn check_all_grouped(
 mod tests {
     use super::*;
 
-    fn solo() -> (SolverOptions, SolverStats) {
-        (SolverOptions::default(), SolverStats::default())
-    }
-
     #[test]
     fn pure_boolean_sat_and_unsat() {
         let mut p = TermPool::new();
@@ -1041,11 +898,11 @@ mod tests {
         let b = p.bool_atom(1);
         let na = p.not(a);
         let f = p.or2(a, b);
-        let (opts, stats) = solo();
-        assert_eq!(check(&p, f, &opts, &stats), SmtResult::Sat);
+        let opts = SolverOptions::default();
+        assert_eq!(check(&p, f, &opts), SmtResult::Sat);
         let nb = p.not(b);
         let g = p.and([f, na, nb]);
-        assert_eq!(check(&p, g, &opts, &stats), SmtResult::Unsat);
+        assert_eq!(check(&p, g, &opts), SmtResult::Unsat);
     }
 
     #[test]
@@ -1057,8 +914,10 @@ mod tests {
         let o1 = p.order_lt(13, 6); // store before load
         let o2 = p.order_lt(3, 13); // no overwrite
         let guard = p.and([theta, ntheta, o1, o2]);
-        let (opts, stats) = solo();
-        assert_eq!(check(&p, guard, &opts, &stats), SmtResult::Unsat);
+        assert_eq!(
+            check(&p, guard, &SolverOptions::default()),
+            SmtResult::Unsat
+        );
     }
 
     #[test]
@@ -1078,9 +937,9 @@ mod tests {
         let left = p.and([cyc, a, b]);
         let right = p.and2(cyc, na);
         let f = p.or2(left, right);
-        let (opts, stats) = solo();
-        assert_eq!(check(&p, f, &opts, &stats), SmtResult::Unsat);
-        assert!(stats.theory_lemmas.load(Ordering::Relaxed) > 0);
+        let (r, q) = check_fresh(&p, f, &SolverOptions::default());
+        assert_eq!(r, SmtResult::Unsat);
+        assert!(q.theory_lemmas > 0);
     }
 
     #[test]
@@ -1092,8 +951,7 @@ mod tests {
         let o23 = p.order_lt(2, 3);
         let choice = p.or2(o12, o21);
         let f = p.and2(choice, o23);
-        let (opts, stats) = solo();
-        assert_eq!(check(&p, f, &opts, &stats), SmtResult::Sat);
+        assert_eq!(check(&p, f, &SolverOptions::default()), SmtResult::Sat);
     }
 
     #[test]
@@ -1109,9 +967,8 @@ mod tests {
             prefilter: false,
             ..SolverOptions::default()
         };
-        let stats = SolverStats::default();
         let f = p.and([o12, o23, o31]);
-        assert_eq!(check(&p, f, &opts, &stats), SmtResult::Unsat);
+        assert_eq!(check(&p, f, &opts), SmtResult::Unsat);
     }
 
     #[test]
@@ -1121,10 +978,14 @@ mod tests {
         let o23 = p.order_lt(2, 3);
         let o31 = p.order_lt(3, 1);
         let f = p.and([o12, o23, o31]);
-        let (opts, stats) = solo();
-        assert_eq!(check(&p, f, &opts, &stats), SmtResult::Unsat);
-        assert_eq!(stats.prefiltered.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.solved.load(Ordering::Relaxed), 0);
+        let (r, q) = check_fresh(&p, f, &SolverOptions::default());
+        assert_eq!(r, SmtResult::Unsat);
+        // Prefiltered, with no CDCL work at all.
+        let expected = QueryStats {
+            prefiltered: true,
+            ..QueryStats::default()
+        };
+        assert_eq!(q, expected);
     }
 
     #[test]
@@ -1142,16 +1003,23 @@ mod tests {
             };
             queries.push(q);
         }
-        let seq_opts = SolverOptions::default();
-        let par_opts = SolverOptions {
-            num_threads: 4,
-            ..SolverOptions::default()
+        // Fresh solving: every query on its own solver, none grouped.
+        let groups: Vec<u64> = (0..16).collect();
+        let fresh = |threads: usize| {
+            let opts = SolverOptions {
+                num_threads: threads,
+                strategy: SolverStrategy::Fresh,
+                ..SolverOptions::default()
+            };
+            let out = check_all_grouped(&p, &queries, &groups, &opts, &mut QueryCache::new());
+            out.outcomes
+                .iter()
+                .map(|o| (o.result, o.stats))
+                .collect::<Vec<_>>()
         };
-        let s1 = SolverStats::default();
-        let s2 = SolverStats::default();
-        let seq = check_all(&p, &queries, &seq_opts, &s1);
-        let par = check_all(&p, &queries, &par_opts, &s2);
-        assert_eq!(seq, par);
+        let seq = fresh(1);
+        assert_eq!(seq, fresh(4));
+        let seq: Vec<SmtResult> = seq.iter().map(|&(r, _)| r).collect();
         for (i, r) in seq.iter().enumerate() {
             assert_eq!(r.is_sat(), i % 2 == 0, "query {i}");
         }
@@ -1210,9 +1078,8 @@ mod tests {
             strategy: SolverStrategy::Incremental,
             ..SolverOptions::default()
         };
-        let stats = SolverStats::default();
         let mut cache = QueryCache::new();
-        let out = check_all_grouped(&p, &queries, &groups, &opts, &stats, &mut cache);
+        let out = check_all_grouped(&p, &queries, &groups, &opts, &mut cache);
         let verdicts: Vec<SmtResult> = out.outcomes.iter().map(|o| o.result).collect();
         assert_eq!(
             verdicts,
@@ -1235,7 +1102,7 @@ mod tests {
         assert!(cache.core_len() >= 1);
         assert!(cache.subsumes(&p.conjuncts_of(q_super)));
         // A later batch reuses the merged cache across families.
-        let out2 = check_all_grouped(&p, &[q_super], &[99], &opts, &stats, &mut cache);
+        let out2 = check_all_grouped(&p, &[q_super], &[99], &opts, &mut cache);
         assert_eq!(out2.outcomes[0].result, SmtResult::Unsat);
         assert!(out2.outcomes[0].memo_hit || out2.outcomes[0].core_subsumed);
     }
@@ -1262,8 +1129,6 @@ mod tests {
                 groups.push(src);
             }
         }
-        let stats_f = SolverStats::default();
-        let stats_i = SolverStats::default();
         let fresh = SolverOptions {
             strategy: SolverStrategy::Fresh,
             ..SolverOptions::default()
@@ -1274,8 +1139,8 @@ mod tests {
         };
         let mut c1 = QueryCache::new();
         let mut c2 = QueryCache::new();
-        let a = check_all_grouped(&p, &queries, &groups, &fresh, &stats_f, &mut c1);
-        let b = check_all_grouped(&p, &queries, &groups, &incr, &stats_i, &mut c2);
+        let a = check_all_grouped(&p, &queries, &groups, &fresh, &mut c1);
+        let b = check_all_grouped(&p, &queries, &groups, &incr, &mut c2);
         let va: Vec<SmtResult> = a.outcomes.iter().map(|o| o.result).collect();
         let vb: Vec<SmtResult> = b.outcomes.iter().map(|o| o.result).collect();
         assert_eq!(va, vb);
@@ -1302,14 +1167,13 @@ mod tests {
             }
         }
         let mk = |threads: usize| {
-            let stats = SolverStats::default();
             let opts = SolverOptions {
                 num_threads: threads,
                 strategy: SolverStrategy::Incremental,
                 ..SolverOptions::default()
             };
             let mut cache = QueryCache::new();
-            let out = check_all_grouped(&p, &queries, &groups, &opts, &stats, &mut cache);
+            let out = check_all_grouped(&p, &queries, &groups, &opts, &mut cache);
             out.outcomes
                 .iter()
                 .map(|o| {
@@ -1354,14 +1218,13 @@ mod tests {
         let mut p = TermPool::new();
         let (queries, groups) = epoch_scale_queries(&mut p);
         let mk = |threads: usize| {
-            let stats = SolverStats::default();
             let opts = SolverOptions {
                 num_threads: threads,
                 strategy: SolverStrategy::Incremental,
                 ..SolverOptions::default()
             };
             let mut cache = QueryCache::new();
-            let out = check_all_grouped(&p, &queries, &groups, &opts, &stats, &mut cache);
+            let out = check_all_grouped(&p, &queries, &groups, &opts, &mut cache);
             out.outcomes
                 .iter()
                 .map(|o| {

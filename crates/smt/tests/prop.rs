@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 
-use canary_smt::{check, SmtResult, SolverOptions, SolverStats, TermId, TermPool};
+use canary_smt::{
+    check, check_all_grouped, check_conjunction, check_witness_model, QueryCache, SmtResult,
+    SolverOptions, SolverStrategy, TermId, TermPool,
+};
 
 const N_BOOLS: u32 = 4;
 const N_EVENTS: u32 = 4;
@@ -101,14 +104,63 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// Every caller of the lazy CDCL(T) loop against the oracle: the
+    /// prefiltered [`check`], the witness extractor (whose model must
+    /// satisfy the term), the conjunct-wise [`check_conjunction`], and a
+    /// query family `[t, ¬t, t ∧ cycle]` solved incrementally on one
+    /// persistent solver with theory scopes per member.
     #[test]
     fn cdclt_matches_brute_force(shape in shape_strategy()) {
         let mut pool = TermPool::new();
         let t = build(&mut pool, &shape);
+        let nt = pool.not(t);
         let expected = brute_force_sat(&pool, t);
-        let stats = SolverStats::default();
-        let got = check(&pool, t, &SolverOptions::default(), &stats);
+        let got = check(&pool, t, &SolverOptions::default());
         prop_assert_eq!(got.is_sat(), expected, "term: {}", pool.render(t));
+
+        let witness = check_witness_model(&pool, t);
+        prop_assert_eq!(witness.is_some(), expected, "witness of {}", pool.render(t));
+        if let Some(w) = witness {
+            let bval = |i: u32| w.bools.binary_search(&(i, true)).is_ok();
+            let rank = |e: u32| {
+                w.events
+                    .iter()
+                    .position(|&x| x == e)
+                    .expect("the witness orders every event of an order atom")
+            };
+            let oval = |a: u32, b: u32| rank(a) < rank(b);
+            prop_assert!(pool.eval(t, &bval, &oval), "witness falsifies {}", pool.render(t));
+        }
+
+        let conj = check_conjunction(&pool, &pool.conjuncts_of(t));
+        prop_assert_eq!(conj, expected, "conjuncts of {}", pool.render(t));
+
+        // No generated term needs the order theory for its verdict, so
+        // the family also gets `t` closed by an order cycle: only the
+        // member's scoped theory check can refute that one.
+        let o01 = pool.order_lt(0, 1);
+        let o12 = pool.order_lt(1, 2);
+        let o20 = pool.order_lt(2, 0);
+        let cyclic = pool.and([t, o01, o12, o20]);
+        let opts = SolverOptions {
+            prefilter: false,
+            strategy: SolverStrategy::Incremental,
+            ..SolverOptions::default()
+        };
+        let family = check_all_grouped(
+            &pool,
+            &[t, nt, cyclic],
+            &[0, 0, 0],
+            &opts,
+            &mut QueryCache::new(),
+        );
+        let verdicts: Vec<bool> = family.outcomes.iter().map(|o| o.result.is_sat()).collect();
+        prop_assert_eq!(
+            verdicts,
+            vec![expected, brute_force_sat(&pool, nt), false],
+            "family [t, not t, t and a cycle] of {}",
+            pool.render(t)
+        );
     }
 
     #[test]
@@ -116,13 +168,11 @@ proptest! {
         // With the prefilter off, results must be identical.
         let mut pool = TermPool::new();
         let t = build(&mut pool, &shape);
-        let stats = SolverStats::default();
-        let with = check(&pool, t, &SolverOptions::default(), &stats);
+        let with = check(&pool, t, &SolverOptions::default());
         let without = check(
             &pool,
             t,
             &SolverOptions { prefilter: false, ..SolverOptions::default() },
-            &stats,
         );
         prop_assert_eq!(with, without);
     }
@@ -133,9 +183,8 @@ proptest! {
         let mut pool = TermPool::new();
         let t = build(&mut pool, &shape);
         let nt = pool.not(t);
-        let stats = SolverStats::default();
-        let rt = check(&pool, t, &SolverOptions::default(), &stats);
-        let rnt = check(&pool, nt, &SolverOptions::default(), &stats);
+        let rt = check(&pool, t, &SolverOptions::default());
+        let rnt = check(&pool, nt, &SolverOptions::default());
         prop_assert!(
             rt == SmtResult::Sat || rnt == SmtResult::Sat,
             "both t and not t unsat: {}",

@@ -11,9 +11,9 @@
 //!   default — every operation is a branch on an `Option` and returns
 //!   immediately, no allocation, no clock read) or *enabled*, holding a
 //!   shared [`Collector`].
-//! * The collector is **lock-free**: finished spans are pushed onto a
-//!   Treiber stack (one `Box` + one CAS loop per span), so spans may
-//!   close on any thread in any order.
+//! * The collector is one mutex-guarded `Vec` of finished spans. Spans
+//!   may close on any thread in any order; the pipeline closes them all
+//!   on the analysis thread, so the lock goes uncontended.
 //! * Export is **deterministically ordered**: events are sorted by
 //!   `(lane, category, key, name)` — all logical, caller-supplied
 //!   values — never by wall-clock time. Two runs of the deterministic
@@ -42,14 +42,15 @@
 //! assert!(json.contains("alg1 dataflow"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod metrics;
 
 use std::fmt;
-use std::sync::atomic::{AtomicPtr, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Logical lane (Chrome `tid`) for top-level pipeline phase spans.
@@ -85,14 +86,9 @@ pub struct Event {
     pub args: Vec<(&'static str, u64)>,
 }
 
-struct EventNode {
-    ev: Event,
-    next: *mut EventNode,
-}
-
-/// The lock-free event sink behind an enabled [`Tracer`].
+/// The event sink behind an enabled [`Tracer`].
 pub struct Collector {
-    head: AtomicPtr<EventNode>,
+    events: Mutex<Vec<Event>>,
     epoch: Instant,
 }
 
@@ -102,60 +98,29 @@ impl fmt::Debug for Collector {
     }
 }
 
-// The raw pointers are only ever exchanged through the atomic head.
-unsafe impl Send for Collector {}
-unsafe impl Sync for Collector {}
-
 impl Collector {
     fn new() -> Self {
         Collector {
-            head: AtomicPtr::new(std::ptr::null_mut()),
+            events: Mutex::new(Vec::new()),
             epoch: Instant::now(),
         }
     }
 
-    /// Pushes one event (lock-free: CAS loop on the stack head).
+    /// The event buffer. A panic elsewhere while the lock was held
+    /// cannot leave it half-written (a push either happened or not), so
+    /// a poisoned lock is still usable.
+    fn lock(&self) -> MutexGuard<'_, Vec<Event>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn push(&self, ev: Event) {
-        let node = Box::into_raw(Box::new(EventNode {
-            ev,
-            next: std::ptr::null_mut(),
-        }));
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            // Safety: `node` is exclusively ours until published.
-            unsafe { (*node).next = head };
-            match self
-                .head
-                .compare_exchange_weak(head, node, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(h) => head = h,
-            }
-        }
+        self.lock().push(ev);
     }
 
-    /// Snapshots every collected event (stack order; callers sort).
-    fn drain_snapshot(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        let mut p = self.head.load(Ordering::Acquire);
-        while !p.is_null() {
-            // Safety: nodes are never freed while the collector lives.
-            let node = unsafe { &*p };
-            out.push(node.ev.clone());
-            p = node.next;
-        }
-        out
-    }
-}
-
-impl Drop for Collector {
-    fn drop(&mut self) {
-        let mut p = *self.head.get_mut();
-        while !p.is_null() {
-            // Safety: exclusive access in drop; each node was boxed.
-            let node = unsafe { Box::from_raw(p) };
-            p = node.next;
-        }
+    /// Snapshots every collected event, newest first (callers sort;
+    /// events with equal sort keys keep this order).
+    fn snapshot(&self) -> Vec<Event> {
+        self.lock().iter().rev().cloned().collect()
     }
 }
 
@@ -246,7 +211,7 @@ impl Tracer {
         let Some(col) = &self.0 else {
             return Vec::new();
         };
-        let mut evs = col.drain_snapshot();
+        let mut evs = col.snapshot();
         evs.sort_by(|a, b| (a.lane, a.cat, a.key, &a.name).cmp(&(b.lane, b.cat, b.key, &b.name)));
         evs
     }

@@ -676,8 +676,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// The run manifest recorded in the SARIF invocation block: the full
-/// configuration (sorted knobs), the corpus hash, and the phase wall
 /// The CLI spelling of a memory model, as accepted by `--memory-model`.
 fn model_name(model: MemoryModel) -> &'static str {
     match model {
@@ -687,7 +685,11 @@ fn model_name(model: MemoryModel) -> &'static str {
     }
 }
 
+/// The run manifest recorded in the SARIF invocation block: the full
+/// configuration (sorted knobs), the corpus hash, and the phase wall
 /// times (nondeterministic; quarantined under `properties.timings`).
+/// `solver_threads` is the worker pool the solver ran with, which the
+/// `--threads` knob raises.
 fn run_manifest(
     cli: &Cli,
     src: &str,
@@ -717,10 +719,7 @@ fn run_manifest(
                 "prefilter".into(),
                 config.detect.solver.prefilter.to_string(),
             ),
-            (
-                "solver_threads".into(),
-                config.detect.solver.num_threads.to_string(),
-            ),
+            ("solver_threads".into(), m.detect_phase.workers.to_string()),
             (
                 "sync_constraints".into(),
                 config.detect.sync_constraints.to_string(),

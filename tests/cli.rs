@@ -134,6 +134,22 @@ fn sarif_manifest_records_the_memory_model() {
 }
 
 #[test]
+fn sarif_manifest_records_the_solver_pool() {
+    let path = write_temp("racy_threads_sarif.cir", RACY);
+    for (threads, expected) in [("1", "1"), ("4", "4")] {
+        let out = canary_bin()
+            .arg(&path)
+            .args(["--threads", threads, "--format", "sarif"])
+            .output()
+            .unwrap();
+        let doc: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+        let props = &doc["runs"][0]["invocations"][0]["properties"];
+        assert_eq!(props["threads"], threads.parse::<u64>().unwrap(), "{props}");
+        assert_eq!(props["config"]["solver_threads"], expected, "{props}");
+    }
+}
+
+#[test]
 fn baseline_tools_run_from_cli() {
     // The order-insensitive baseline reports even use-before-free.
     let path = write_temp("ubf.cir", "fn main() { p = alloc o; use p; free p; }\n");

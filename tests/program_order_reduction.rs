@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use canary_detect::constraints::{partial_order_constraints, partial_order_constraints_with};
 use canary_ir::{parse, CallGraph, Label, OrderGraph, Program};
-use canary_smt::{check, SolverOptions, SolverStats, TermId, TermPool};
+use canary_smt::{check, SolverOptions, TermId, TermPool};
 use canary_workloads::{generate, WorkloadSpec};
 
 /// SplitMix64: a small deterministic stream for subsets, masks and
@@ -65,7 +65,7 @@ fn all_kept_pairs(
 }
 
 fn sat(pool: &TermPool, t: TermId) -> bool {
-    check(pool, t, &SolverOptions::default(), &SolverStats::default()).is_sat()
+    check(pool, t, &SolverOptions::default()).is_sat()
 }
 
 proptest! {
