@@ -41,6 +41,25 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # here instead of rendering as plain text.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo fmt --all -- --check
+# Benchmark smoke: perfbench (a workspace of its own, see
+# BENCHMARK.json) must build against the analyzer's current API, and a
+# one-second traced run of each workload must get every verdict right.
+# The traced mode also aborts when perfbench's composed pipeline
+# disagrees with `Canary::analyze`. cargo rewrites perfbench/Cargo.lock
+# on every build, so the committed lock is saved and put back, also when
+# the build fails.
+cp perfbench/Cargo.lock "$out/perfbench.lock"
+rc=0
+cargo build --release --offline --manifest-path perfbench/Cargo.toml || rc=$?
+cp "$out/perfbench.lock" perfbench/Cargo.lock
+[ "$rc" -eq 0 ]
+for workload in scale-sweep hard-families small-programs; do
+    perfbench/target/release/canary-perfbench --workload "$workload" \
+        --seed 0 --seconds 1 --trace 1 > "$out/perfbench-$workload.out"
+    tail -n 1 "$out/perfbench-$workload.out" > "$out/perfbench-$workload.json"
+    grep -q '"correct": true' "$out/perfbench-$workload.json"
+    grep -q '"failed": 0,' "$out/perfbench-$workload.json"
+done
 # Store-buffering litmus smoke: the Dekker-style double free replays
 # on the store-buffer machine under tso/pso but has no SC witness, so
 # --verify-witnesses separates the models at the CLI level.

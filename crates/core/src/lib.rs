@@ -56,6 +56,7 @@ use canary_ir::{
 };
 use canary_smt::TermPool;
 use canary_trace::{LogLevel, Tracer, LANE_PIPELINE};
+use rustc_hash::FxHashSet;
 
 pub use canary_detect::{self as detect};
 pub use canary_ir::{self as ir};
@@ -802,7 +803,7 @@ impl Canary {
         // `Deduped`, then check the reconciliation invariant: every
         // candidate has exactly one terminal disposition. A leak here
         // is a pipeline bug, not an input problem.
-        let kept: std::collections::HashSet<(BugKind, canary_ir::Label, canary_ir::Label)> =
+        let kept: FxHashSet<(BugKind, canary_ir::Label, canary_ir::Label)> =
             reports.iter().map(|r| (r.kind, r.source, r.sink)).collect();
         audit.apply_report_dedup(&kept);
         debug_assert!(

@@ -20,13 +20,14 @@
 //! [`TermPool`] and [`Vfg`] before the next task starts, so the level
 //! and task order fixes every term id and node number.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use canary_ir::{CallGraph, FuncId, Inst, Label, Program, Terminator, VarId};
 use canary_smt::{TermId, TermPool};
 use canary_trace::{Tracer, LANE_ALG1};
 use canary_vfg::{EdgeKind, NodeId, Vfg};
+use rustc_hash::FxHashMap;
 
 use crate::pathcond::PathConditions;
 use crate::symbols::{insert_guarded, CellSet, Guarded, MemKey, MemVal, PtsSet, Sym};
@@ -362,7 +363,7 @@ impl Alg1<'_> {
         // Flow-sensitive walk in reverse post-order; block-entry memory
         // states merge predecessor exits.
         let rpo = func.reverse_post_order();
-        let mut block_in: HashMap<u32, Mem> = HashMap::new();
+        let mut block_in: FxHashMap<u32, Mem> = FxHashMap::default();
         block_in.insert(func.entry.0, Mem::new());
         let mut exit_mem = Mem::new();
         let mut returns: Vec<(Label, TermId, Vec<VarId>)> = Vec::new();

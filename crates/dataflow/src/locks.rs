@@ -12,6 +12,7 @@
 
 use canary_ir::{Inst, Label, ObjId, OrderGraph, Program};
 use canary_vfg::NodeKind;
+use rustc_hash::FxHashMap;
 
 use crate::analysis::DataflowResult;
 
@@ -81,8 +82,8 @@ impl LockModel {
         // Union-find over mutex objects: the objects of one site are a
         // may-alias set, so they merge into one class; sites sharing an
         // object land in the same class transitively.
-        let mut parent: std::collections::HashMap<ObjId, ObjId> = std::collections::HashMap::new();
-        fn find(parent: &mut std::collections::HashMap<ObjId, ObjId>, x: ObjId) -> ObjId {
+        let mut parent: FxHashMap<ObjId, ObjId> = FxHashMap::default();
+        fn find(parent: &mut FxHashMap<ObjId, ObjId>, x: ObjId) -> ObjId {
             let p = *parent.entry(x).or_insert(x);
             if p == x {
                 return x;
@@ -111,11 +112,9 @@ impl LockModel {
             }
         }
         // Dense class numbering in site order (deterministic).
-        let mut class_ids: std::collections::HashMap<ObjId, usize> =
-            std::collections::HashMap::new();
+        let mut class_ids: FxHashMap<ObjId, usize> = FxHashMap::default();
         let mut class_count = 0usize;
-        let mut assign = |parent: &mut std::collections::HashMap<ObjId, ObjId>,
-                          site: &mut LockSite| {
+        let mut assign = |parent: &mut FxHashMap<ObjId, ObjId>, site: &mut LockSite| {
             let Some(&first) = site.objs.first() else {
                 return;
             };

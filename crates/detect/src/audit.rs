@@ -19,10 +19,9 @@
 //! assumption core) ride along in a separate display-only field that
 //! never reaches the canonical export.
 
-use std::collections::HashMap;
-
 use canary_ir::Label;
 use canary_smt::{is_sorted_subset, TermId, TermPool};
+use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::provenance::Fingerprint;
 use crate::report::BugKind;
@@ -387,7 +386,7 @@ pub struct AuditLog {
     /// hash-consed query term → its audit seq. Mirrors the solver's
     /// verdict memo, but derived from term identity alone so the
     /// disposition is strategy-invariant.
-    first_unsat: HashMap<TermId, usize>,
+    first_unsat: FxHashMap<TermId, usize>,
     /// Conjunct sets (sorted) of first refutations, with their seq.
     /// Mirrors the UNSAT-core subsumption store under the same
     /// term-determined discipline.
@@ -554,10 +553,7 @@ impl AuditLog {
     /// longer among the emitted reports to `Deduped`. Fingerprint-equal
     /// reports collapse to one survivor, so a dropped record's winner
     /// carries its own fingerprint.
-    pub fn apply_report_dedup(
-        &mut self,
-        kept: &std::collections::HashSet<(BugKind, Label, Label)>,
-    ) {
+    pub fn apply_report_dedup(&mut self, kept: &FxHashSet<(BugKind, Label, Label)>) {
         for r in &mut self.records {
             let (Some(kind), Some(sink)) = (r.kind, r.sink) else {
                 continue;
@@ -748,7 +744,7 @@ mod tests {
                 fingerprint: fp("00000000000000aa"),
             },
         );
-        let kept = std::collections::HashSet::from([(BugKind::UseAfterFree, Label(1), Label(2))]);
+        let kept = FxHashSet::from_iter([(BugKind::UseAfterFree, Label(1), Label(2))]);
         log.apply_report_dedup(&kept);
         assert!(matches!(
             log.records()[b].disposition,

@@ -3,7 +3,6 @@
 //! over the interference-aware VFG followed by SMT validation of
 //! `Φ_all = Φ_guards ∧ Φ_po` (Eq. 5).
 
-use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use canary_dataflow::{DataflowResult, LockModel};
@@ -14,6 +13,7 @@ use canary_smt::{
 };
 use canary_trace::{Tracer, LANE_DETECT, LANE_SMT};
 use canary_vfg::{EdgeKind, NodeId, NodeKind};
+use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::audit::{AuditLog, Disposition};
 use crate::constraints;
@@ -400,7 +400,7 @@ pub fn check_all_kinds(
 
 /// Counts the distinct Boolean and order atoms in a term DAG.
 fn count_atoms(pool: &TermPool, root: TermId) -> (u64, u64) {
-    let mut visited: HashSet<TermId> = HashSet::new();
+    let mut visited: FxHashSet<TermId> = FxHashSet::default();
     let mut stack = vec![root];
     let (mut bools, mut orders) = (0u64, 0u64);
     while let Some(t) = stack.pop() {
@@ -548,8 +548,8 @@ fn validate(
     // sat candidates for the same key collapse onto it, and the audit
     // names it as their dedup winner. Candidate order is the
     // deterministic enumeration order, so the winner is too.
-    let mut seen: HashMap<(BugKind, Label, Label), Fingerprint> = HashMap::new();
-    let mut refuted_seen: HashSet<(BugKind, Label, Label)> = HashSet::new();
+    let mut seen: FxHashMap<(BugKind, Label, Label), Fingerprint> = FxHashMap::default();
+    let mut refuted_seen: FxHashSet<(BugKind, Label, Label)> = FxHashSet::default();
     let mut out = Vec::new();
     let mut refuted = Vec::new();
     for (mut cand, o) in candidates.into_iter().zip(outcomes) {
@@ -722,7 +722,7 @@ fn uaf_candidates(
         deref_sinks(ctx)
     };
     sinks.sort_unstable();
-    let sink_set: HashSet<NodeId> = sinks.iter().map(|&(n, _)| n).collect();
+    let sink_set: FxHashSet<NodeId> = sinks.iter().map(|&(n, _)| n).collect();
     // One reverse-reachability pass for the whole checker: every
     // source below enumerates against the same sink set.
     let reach = SinkReach::compute(&ctx.df.vfg, &sink_set);
@@ -794,7 +794,7 @@ fn flow_candidates(
     sinks: &[(NodeId, Label)],
     audit: &mut AuditLog,
 ) -> Vec<Candidate> {
-    let sink_set: HashSet<NodeId> = sinks.iter().map(|&(n, _)| n).collect();
+    let sink_set: FxHashSet<NodeId> = sinks.iter().map(|&(n, _)| n).collect();
     let reach = SinkReach::compute(&ctx.df.vfg, &sink_set);
     let mut out = Vec::new();
     for &(src_var, src_label) in sources {
@@ -1058,11 +1058,11 @@ fn conflict_lock_candidates(
         }
         // Gate-lock filter: a common class held around every outer,
         // outside the cycle's own classes, serializes the sequences.
-        let cycle_classes: HashSet<usize> =
+        let cycle_classes: FxHashSet<usize> =
             cyc.iter().map(|&(ri, _, _)| lm.regions[ri].class).collect();
-        let mut gate: Option<HashSet<usize>> = None;
+        let mut gate: Option<FxHashSet<usize>> = None;
         for &(ri, _, _) in &cyc {
-            let held: HashSet<usize> = lm
+            let held: FxHashSet<usize> = lm
                 .regions_containing(og, lm.regions[ri].lock)
                 .into_iter()
                 .map(|i| lm.regions[i].class)

@@ -7,10 +7,9 @@
 //! from the sources of the property under check, which is the heart of
 //! Canary's state-space reduction.
 
-use std::collections::HashSet;
-
 use canary_smt::TermId;
 use canary_vfg::{EdgeKind, NodeId, Vfg};
+use rustc_hash::FxHashSet;
 
 /// One enumerated path: the node sequence and its edge facts.
 #[derive(Clone, Debug)]
@@ -57,7 +56,7 @@ pub struct SinkReach {
 
 impl SinkReach {
     /// Computes reverse reachability from `sinks` over `vfg`.
-    pub fn compute(vfg: &Vfg, sinks: &HashSet<NodeId>) -> SinkReach {
+    pub fn compute(vfg: &Vfg, sinks: &FxHashSet<NodeId>) -> SinkReach {
         let mut can_reach = vec![false; vfg.node_count()];
         let mut stack: Vec<NodeId> = Vec::with_capacity(sinks.len());
         for &s in sinks {
@@ -87,7 +86,7 @@ impl SinkReach {
 pub fn enumerate_paths(
     vfg: &Vfg,
     source: NodeId,
-    sinks: &HashSet<NodeId>,
+    sinks: &FxHashSet<NodeId>,
     limits: PathLimits,
 ) -> Vec<VfPath> {
     let reach = SinkReach::compute(vfg, sinks);
@@ -100,7 +99,7 @@ pub fn enumerate_paths(
 pub fn enumerate_paths_pruned(
     vfg: &Vfg,
     source: NodeId,
-    sinks: &HashSet<NodeId>,
+    sinks: &FxHashSet<NodeId>,
     reach: &SinkReach,
     limits: PathLimits,
 ) -> Vec<VfPath> {
@@ -136,7 +135,7 @@ impl PathTruncation {
 pub fn enumerate_paths_budgeted(
     vfg: &Vfg,
     source: NodeId,
-    sinks: &HashSet<NodeId>,
+    sinks: &FxHashSet<NodeId>,
     reach: &SinkReach,
     limits: PathLimits,
 ) -> (Vec<VfPath>, PathTruncation) {
@@ -148,7 +147,7 @@ pub fn enumerate_paths_budgeted(
     let mut nodes = vec![source];
     let mut guards: Vec<TermId> = Vec::new();
     let mut kinds: Vec<EdgeKind> = Vec::new();
-    let mut on_path: HashSet<NodeId> = HashSet::new();
+    let mut on_path: FxHashSet<NodeId> = FxHashSet::default();
     on_path.insert(source);
     dfs(
         vfg,
@@ -170,13 +169,13 @@ pub fn enumerate_paths_budgeted(
 fn dfs(
     vfg: &Vfg,
     cur: NodeId,
-    sinks: &HashSet<NodeId>,
+    sinks: &FxHashSet<NodeId>,
     reach: &SinkReach,
     limits: &PathLimits,
     nodes: &mut Vec<NodeId>,
     guards: &mut Vec<TermId>,
     kinds: &mut Vec<EdgeKind>,
-    on_path: &mut HashSet<NodeId>,
+    on_path: &mut FxHashSet<NodeId>,
     out: &mut Vec<VfPath>,
     trunc: &mut PathTruncation,
 ) {
@@ -245,7 +244,7 @@ mod tests {
         let a = g.node(def(0, 0));
         let b = g.node(def(1, 1));
         g.add_edge(a, b, EdgeKind::Direct, pool.tt());
-        let sinks: HashSet<NodeId> = [b].into_iter().collect();
+        let sinks: FxHashSet<NodeId> = [b].into_iter().collect();
         let paths = enumerate_paths(&g, a, &sinks, PathLimits::default());
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].nodes, vec![a, b]);
@@ -264,7 +263,7 @@ mod tests {
         g.add_edge(a, c, EdgeKind::Direct, pool.tt());
         g.add_edge(b, d, EdgeKind::DataDep, pool.tt());
         g.add_edge(c, d, EdgeKind::Interference, pool.tt());
-        let sinks: HashSet<NodeId> = [d].into_iter().collect();
+        let sinks: FxHashSet<NodeId> = [d].into_iter().collect();
         let mut paths = enumerate_paths(&g, a, &sinks, PathLimits::default());
         paths.sort_by_key(|p| p.nodes.clone());
         assert_eq!(paths.len(), 2);
@@ -282,7 +281,7 @@ mod tests {
         g.add_edge(a, b, EdgeKind::Direct, pool.tt());
         g.add_edge(b, a, EdgeKind::Direct, pool.tt());
         g.add_edge(b, c, EdgeKind::Direct, pool.tt());
-        let sinks: HashSet<NodeId> = [c].into_iter().collect();
+        let sinks: FxHashSet<NodeId> = [c].into_iter().collect();
         let paths = enumerate_paths(&g, a, &sinks, PathLimits::default());
         assert_eq!(paths.len(), 1);
     }
@@ -310,7 +309,7 @@ mod tests {
         for &p in &layer {
             g.add_edge(p, end, EdgeKind::Direct, pool.tt());
         }
-        let sinks: HashSet<NodeId> = [end].into_iter().collect();
+        let sinks: FxHashSet<NodeId> = [end].into_iter().collect();
         let limits = PathLimits {
             max_len: 64,
             max_paths: 16,
@@ -338,7 +337,7 @@ mod tests {
             g.add_edge(prev, d, EdgeKind::Direct, pool.tt());
             prev = d;
         }
-        let sinks: HashSet<NodeId> = [s].into_iter().collect();
+        let sinks: FxHashSet<NodeId> = [s].into_iter().collect();
         let reach = SinkReach::compute(&g, &sinks);
         assert!(reach.reaches(a) && reach.reaches(b) && reach.reaches(s));
         assert!(!reach.reaches(prev));
@@ -358,7 +357,7 @@ mod tests {
         let s = g.node(def(2, 2));
         g.add_edge(b, s, EdgeKind::Direct, pool.tt());
         let _ = a;
-        let sinks: HashSet<NodeId> = [s].into_iter().collect();
+        let sinks: FxHashSet<NodeId> = [s].into_iter().collect();
         assert!(enumerate_paths(&g, a, &sinks, PathLimits::default()).is_empty());
     }
 
@@ -371,7 +370,7 @@ mod tests {
         let c = g.node(def(2, 2));
         g.add_edge(a, b, EdgeKind::Direct, pool.tt());
         g.add_edge(b, c, EdgeKind::Direct, pool.tt());
-        let sinks: HashSet<NodeId> = [b, c].into_iter().collect();
+        let sinks: FxHashSet<NodeId> = [b, c].into_iter().collect();
         let paths = enumerate_paths(&g, a, &sinks, PathLimits::default());
         // a→b and a→b→c.
         assert_eq!(paths.len(), 2);

@@ -35,13 +35,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::{HashMap, HashSet};
-
 use canary_dataflow::{DataflowResult, LoadSite, LockModel, StoreSite};
 use canary_ir::{Inst, Label, MhpAnalysis, ObjId, Program, ThreadStructure, VarId};
 use canary_smt::{TermId, TermPool};
 use canary_trace::{Tracer, LANE_ALG2};
 use canary_vfg::{EdgeKind, NodeId, NodeKind, Vfg};
+use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Options for the interference analysis.
 #[derive(Clone, Debug)]
@@ -179,14 +178,14 @@ pub fn run_traced(
         pool,
         opts,
         escaped: Vec::new(),
-        escaped_set: HashSet::new(),
+        escaped_set: FxHashSet::default(),
         interference_edges: 0,
         refreshed_data_edges: 0,
         mhp_pruned: 0,
         mhp_lock_pruned: 0,
         tasks: 0,
-        pruned_pairs: HashMap::new(),
-        edged: HashSet::new(),
+        pruned_pairs: FxHashMap::default(),
+        edged: FxHashSet::default(),
     };
     let rounds = a.fixpoint(df, tracer);
     let mut pruned_pairs: Vec<PrunedPair> = a.pruned_pairs.into_values().collect();
@@ -210,7 +209,7 @@ struct InterferenceAnalysis<'p> {
     pool: &'p mut TermPool,
     opts: &'p InterferenceOptions,
     escaped: Vec<ObjId>,
-    escaped_set: HashSet<ObjId>,
+    escaped_set: FxHashSet<ObjId>,
     interference_edges: usize,
     refreshed_data_edges: usize,
     mhp_pruned: usize,
@@ -218,9 +217,9 @@ struct InterferenceAnalysis<'p> {
     tasks: usize,
     /// First prune record per `(store, load)` pair, across rounds and
     /// objects; a pair that later gains an edge is evicted.
-    pruned_pairs: HashMap<(Label, Label), PrunedPair>,
+    pruned_pairs: FxHashMap<(Label, Label), PrunedPair>,
     /// Pairs that produced a VFG edge (any kind): never audit-pruned.
-    edged: HashSet<(Label, Label)>,
+    edged: FxHashSet<(Label, Label)>,
 }
 
 /// An edge a load check decided on, added once every load of the
@@ -318,7 +317,7 @@ impl InterferenceAnalysis<'_> {
     /// fixpoint rounds), keeping the pass linear in practice.
     fn escape_round(&mut self, df: &DataflowResult) -> bool {
         let mut changed = false;
-        let mut reach_cache: HashMap<NodeId, std::rc::Rc<Vec<ObjId>>> = HashMap::new();
+        let mut reach_cache: FxHashMap<NodeId, std::rc::Rc<Vec<ObjId>>> = FxHashMap::default();
         let mut objs_of = |vfg: &Vfg, n: NodeId| -> std::rc::Rc<Vec<ObjId>> {
             reach_cache
                 .entry(n)

@@ -9,7 +9,7 @@
 //! our IR models it as function pointers, which the same machinery
 //! resolves.
 
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 use crate::ids::{FuncId, Label, VarId};
 use crate::inst::{Callee, Inst};
@@ -27,13 +27,13 @@ pub struct Steensgaard {
     /// Union-find parent table over node indices.
     parent: Vec<u32>,
     /// `pointee[class]` — the class this class points to, if any.
-    pointee: HashMap<u32, u32>,
+    pointee: FxHashMap<u32, u32>,
     /// Number of variable nodes (variables come first in node space).
     n_vars: u32,
     /// Node index of each function constant.
     func_node: Vec<u32>,
     /// For each class representative, the function constants inside it.
-    funcs_in_class: HashMap<u32, Vec<FuncId>>,
+    funcs_in_class: FxHashMap<u32, Vec<FuncId>>,
     /// Unions that merged two distinct classes so far; with
     /// `parent.len()` it measures a pass's progress.
     merges: usize,
@@ -49,10 +49,10 @@ impl Steensgaard {
         let total = n_vars + n_objs + n_funcs;
         let mut s = Steensgaard {
             parent: (0..total).collect(),
-            pointee: HashMap::new(),
+            pointee: FxHashMap::default(),
             n_vars,
             func_node: ((n_vars + n_objs)..total).collect(),
-            funcs_in_class: HashMap::new(),
+            funcs_in_class: FxHashMap::default(),
             merges: 0,
         };
         // Unification is monotone, so re-running the transfer pass lets
@@ -271,9 +271,9 @@ impl Steensgaard {
 #[derive(Debug)]
 pub struct CallGraph {
     /// Resolved targets of every call site.
-    pub call_targets: HashMap<Label, Vec<FuncId>>,
+    pub call_targets: FxHashMap<Label, Vec<FuncId>>,
     /// Resolved entry functions of every fork site.
-    pub fork_targets: HashMap<Label, Vec<FuncId>>,
+    pub fork_targets: FxHashMap<Label, Vec<FuncId>>,
     /// Direct call edges `f → g` (no fork edges).
     pub calls: Vec<Vec<FuncId>>,
     /// Direct call-site labels grouped by callee: `callers_of[g] = [(f, site)]`.
@@ -299,8 +299,8 @@ impl CallGraph {
     /// analysis.
     pub fn build_with(prog: &Program, steens: &Steensgaard) -> Self {
         let n = prog.funcs.len();
-        let mut call_targets = HashMap::new();
-        let mut fork_targets = HashMap::new();
+        let mut call_targets = FxHashMap::default();
+        let mut fork_targets = FxHashMap::default();
         let mut calls: Vec<Vec<FuncId>> = vec![Vec::new(); n];
         let mut callers_of: Vec<Vec<(FuncId, Label)>> = vec![Vec::new(); n];
         let mut all_edges: Vec<Vec<FuncId>> = vec![Vec::new(); n];
@@ -413,7 +413,7 @@ impl CallGraph {
     /// deterministic.
     pub fn bottom_up_levels(&self) -> Vec<Vec<Vec<FuncId>>> {
         let n = self.calls.len();
-        let pos_of: HashMap<FuncId, usize> = self
+        let pos_of: FxHashMap<FuncId, usize> = self
             .bottom_up
             .iter()
             .enumerate()

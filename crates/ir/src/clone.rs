@@ -17,7 +17,7 @@
 //! the cap is hit remaining sites keep sharing, which is the same
 //! soundiness class as the paper's depth cut.
 
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 use crate::ids::{BlockId, FuncId, Label, ThreadId, VarId};
 use crate::inst::{Callee, Inst};
@@ -67,7 +67,7 @@ pub fn clone_contexts(prog: &Program, opts: &CloneOptions) -> Program {
 /// the original).
 fn clone_round(prog: &Program, budget: usize) -> (Program, bool) {
     // Count direct references per callee.
-    let mut refs: HashMap<FuncId, Vec<Label>> = HashMap::new();
+    let mut refs: FxHashMap<FuncId, Vec<Label>> = FxHashMap::default();
     for l in prog.labels() {
         match prog.inst(l) {
             Inst::Call {
@@ -102,7 +102,7 @@ fn clone_round(prog: &Program, budget: usize) -> (Program, bool) {
 
     let mut out = Rebuilder::new(prog);
     let mut growth = prog.stmt_count();
-    let mut clone_of_site: HashMap<Label, FuncId> = HashMap::new();
+    let mut clone_of_site: FxHashMap<Label, FuncId> = FxHashMap::default();
     for (site, g) in to_clone {
         let size = prog.func(g).stmt_count();
         if growth + size > budget {
@@ -143,7 +143,7 @@ impl Rebuilder {
         let new_name = format!("{}#{}", src.name, n_existing);
 
         // Fresh variables for everything the function touches.
-        let mut var_map: HashMap<VarId, VarId> = HashMap::new();
+        let mut var_map: FxHashMap<VarId, VarId> = FxHashMap::default();
         let mut map_var = |prog: &mut Program, v: VarId| -> VarId {
             *var_map.entry(v).or_insert_with(|| {
                 let nv = VarId::new(prog.vars.len() as u32);
@@ -298,7 +298,7 @@ impl Rebuilder {
     }
 
     /// Redirects each recorded site to its private clone.
-    fn retarget_sites(&mut self, clone_of_site: &HashMap<Label, FuncId>) {
+    fn retarget_sites(&mut self, clone_of_site: &FxHashMap<Label, FuncId>) {
         for (&site, &fresh) in clone_of_site {
             match &mut self.prog.stmts[site.index()].inst {
                 Inst::Call { callee, .. } => *callee = Callee::Direct(fresh),

@@ -1,9 +1,9 @@
 //! The whole-program container: statement table, functions, variable /
 //! object / condition-atom interning, and static thread descriptors.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{BlockId, CondId, FuncId, Label, ObjId, ThreadId, VarId, MAIN_THREAD};
@@ -255,7 +255,7 @@ impl Program {
             }
         }
         // SSA: every top-level variable has at most one defining statement.
-        let mut defs: HashMap<VarId, Label> = HashMap::new();
+        let mut defs: FxHashMap<VarId, Label> = FxHashMap::default();
         for l in self.labels() {
             if let Some(d) = self.inst(l).def() {
                 if d.index() >= self.vars.len() {

@@ -20,10 +20,11 @@
 //! converge only when their pending stores agree too. Bounded programs
 //! are acyclic, so the state graph is finite and the DFS terminates.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use canary_detect::{BugKind, MemoryModel};
 use canary_ir::{Label, Program};
+use rustc_hash::FxHashSet;
 
 use crate::machine::{Machine, Poll, Valuation};
 
@@ -73,7 +74,7 @@ pub fn explore(prog: &Program, limits: EnumLimits) -> Exploration {
 /// legal store-buffer drain is interleaved as its own scheduler event.
 pub fn explore_under(prog: &Program, model: MemoryModel, limits: EnumLimits) -> Exploration {
     let mut hits = BTreeSet::new();
-    let mut visited: HashSet<(Machine, Valuation)> = HashSet::new();
+    let mut visited: FxHashSet<(Machine, Valuation)> = FxHashSet::default();
     let mut stack: Vec<(Machine, Valuation)> =
         vec![(Machine::boot_under(prog, model), Valuation::new())];
     let mut complete = true;

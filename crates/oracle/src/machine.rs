@@ -19,13 +19,14 @@
 //! thread's buffer first, matching the detector's retention policy,
 //! which only ever relaxes store→load and store→store pairs.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use canary_detect::{BugKind, MemoryModel};
 use canary_ir::{
     Callee, CondExpr, CondId, Cursor, FuncId, Inst, Label, ObjId, Program, StepPoint, Terminator,
     VarId,
 };
+use rustc_hash::FxHashSet;
 
 /// A branch-direction assignment for condition atoms. Branches on atoms
 /// absent from the map cannot be normalized past — the machine reports
@@ -201,7 +202,7 @@ impl Machine {
                 }
             }
             MemoryModel::Pso => {
-                let mut seen: HashSet<usize> = HashSet::new();
+                let mut seen: FxHashSet<usize> = FxHashSet::default();
                 let mut out = Vec::new();
                 for (i, b) in buf.iter().enumerate() {
                     if seen.insert(b.cell) {

@@ -20,10 +20,11 @@
 //! scheduled events as barriers — deterministic, memoized, and bounded
 //! by the same step budget as the SC loop.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use canary_detect::{BugKind, BugReport, MemoryModel};
 use canary_ir::{block_reaches, CondExpr, Inst, Label, Program, StepPoint, Terminator};
+use rustc_hash::FxHashSet;
 
 use crate::machine::{is_fence, Hit, Machine, Poll, ThreadState, Valuation};
 
@@ -206,7 +207,7 @@ pub fn replay_under(
     // DFS state: (machine, valuation, schedule cursor, steps so far).
     // Memoization drops `steps` — it is diagnostic, and pruning a
     // revisit at a different depth only forgoes a duplicate subtree.
-    let mut visited: HashSet<(Machine, Valuation, usize)> = HashSet::new();
+    let mut visited: FxHashSet<(Machine, Valuation, usize)> = FxHashSet::default();
     let mut stack: Vec<(Machine, Valuation, usize, usize)> =
         vec![(Machine::boot_under(prog, model), initial, 0, 0)];
     let mut observed: BTreeSet<Hit> = BTreeSet::new();
@@ -420,7 +421,7 @@ fn steer(
 /// and labels of functions executed more than once confuse the barrier
 /// discipline; diagnostics use this to explain a deadlock.
 pub fn schedule_duplicates(schedule: &[Label]) -> Vec<Label> {
-    let mut seen = HashSet::new();
+    let mut seen = FxHashSet::default();
     schedule
         .iter()
         .copied()

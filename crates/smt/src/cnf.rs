@@ -5,7 +5,7 @@
 //! variable carries which order atom so the CDCL(T) loop can extract the
 //! oriented edges from a propositional model.
 
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 use crate::sat::{Lit, SatSolver, Var};
 use crate::term::{EventId, Node, TermId, TermPool};
@@ -14,13 +14,13 @@ use crate::term::{EventId, Node, TermId, TermPool};
 #[derive(Debug, Default)]
 pub struct Encoding {
     /// Boolean atom index → SAT var.
-    pub bool_vars: HashMap<u32, Var>,
+    pub bool_vars: FxHashMap<u32, Var>,
     /// Normalized order atom `(a, b)` (with `a < b`) → SAT var. The var
     /// being *false* asserts the reversed order `b < a` (total order
     /// over distinct events).
-    pub order_vars: HashMap<(EventId, EventId), Var>,
+    pub order_vars: FxHashMap<(EventId, EventId), Var>,
     /// Gate variable per term, memoized across roots.
-    gate: HashMap<TermId, Lit>,
+    gate: FxHashMap<TermId, Lit>,
 }
 
 impl Encoding {

@@ -31,10 +31,11 @@
 //! CDCL core at all. Each query's work is recorded in its own
 //! [`QueryStats`].
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::cnf::{encode, encode_gated, Encoding};
 use crate::sat::{Lit, SatResult, SatSolver, SatStats, Var};
@@ -169,7 +170,7 @@ pub(crate) fn solve_lazily(
     sat: &mut SatSolver,
     enc: &Encoding,
     assumptions: &[Lit],
-    scope: Option<&HashSet<Var>>,
+    scope: Option<&FxHashSet<Var>>,
     lemmas: &mut u64,
 ) -> Option<Vec<bool>> {
     loop {
@@ -398,12 +399,12 @@ fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + 
 #[derive(Debug, Default)]
 pub struct QueryCache {
     /// Hash-consed query term → verdict.
-    memo: HashMap<TermId, SmtResult>,
+    memo: FxHashMap<TermId, SmtResult>,
     /// Refuted conjunct sets (each sorted): any query whose conjunct
     /// set is a superset of an entry is unsat without solving.
     cores: Vec<Vec<TermId>>,
     /// Dedup guard for `cores`.
-    core_seen: HashSet<Vec<TermId>>,
+    core_seen: FxHashSet<Vec<TermId>>,
 }
 
 impl QueryCache {
@@ -520,7 +521,7 @@ pub struct GroupedOutcome {
 struct FamilySolver {
     sat: SatSolver,
     enc: Encoding,
-    acts: HashMap<TermId, Lit>,
+    acts: FxHashMap<TermId, Lit>,
     /// Activation literal per shared-prefix conjunct, in prefix order
     /// (empty when the family shares no conjunct). Gating the prefix
     /// lets assumption cores name exactly the responsible conjuncts —
@@ -528,17 +529,17 @@ struct FamilySolver {
     /// cores in the cache.
     shared_acts: Vec<(TermId, Lit)>,
     /// Order atoms mentioned by the shared prefix.
-    shared_orders: HashSet<(EventId, EventId)>,
+    shared_orders: FxHashSet<(EventId, EventId)>,
     /// Order atoms mentioned by each delta conjunct (memoized).
-    delta_orders: HashMap<TermId, Vec<(EventId, EventId)>>,
+    delta_orders: FxHashMap<TermId, Vec<(EventId, EventId)>>,
 }
 
 impl FamilySolver {
     fn new(pool: &TermPool, shared: &[TermId]) -> FamilySolver {
         let mut sat = SatSolver::new();
         let mut enc = Encoding::default();
-        let mut shared_orders = HashSet::new();
-        let mut seen = HashSet::new();
+        let mut shared_orders = FxHashSet::default();
+        let mut seen = FxHashSet::default();
         let mut shared_acts = Vec::new();
         for &c in shared {
             let l = Lit::pos(sat.new_var());
@@ -549,10 +550,10 @@ impl FamilySolver {
         FamilySolver {
             sat,
             enc,
-            acts: HashMap::new(),
+            acts: FxHashMap::default(),
             shared_acts,
             shared_orders,
-            delta_orders: HashMap::new(),
+            delta_orders: FxHashMap::default(),
         }
     }
 }
@@ -567,8 +568,8 @@ impl FamilySolver {
 fn collect_order_atoms(
     pool: &TermPool,
     t: TermId,
-    seen: &mut HashSet<TermId>,
-    out: &mut HashSet<(EventId, EventId)>,
+    seen: &mut FxHashSet<TermId>,
+    out: &mut FxHashSet<(EventId, EventId)>,
 ) {
     if !seen.insert(t) {
         return;
@@ -709,8 +710,10 @@ fn solve_member(
 ) -> (SmtResult, Option<Vec<TermId>>) {
     let deltas = sorted_diff(conj, shared);
     let mut assumptions = Vec::with_capacity(fam.shared_acts.len() + deltas.len());
-    let mut by_lit: HashMap<Lit, TermId> =
-        HashMap::with_capacity(fam.shared_acts.len() + deltas.len());
+    let mut by_lit: FxHashMap<Lit, TermId> = FxHashMap::with_capacity_and_hasher(
+        fam.shared_acts.len() + deltas.len(),
+        Default::default(),
+    );
     for &(c, l) in &fam.shared_acts {
         by_lit.insert(l, c);
         assumptions.push(l);
@@ -721,8 +724,8 @@ fn solve_member(
             None => {
                 let l = Lit::pos(fam.sat.new_var());
                 encode_gated(pool, d, &mut fam.sat, &mut fam.enc, l);
-                let mut seen = HashSet::new();
-                let mut orders = HashSet::new();
+                let mut seen = FxHashSet::default();
+                let mut orders = FxHashSet::default();
                 collect_order_atoms(pool, d, &mut seen, &mut orders);
                 let mut orders: Vec<_> = orders.into_iter().collect();
                 orders.sort_unstable();
@@ -739,7 +742,7 @@ fn solve_member(
     // the fresh strategy would orient. Without the restriction the
     // orientation graph grows with every member encoded, and cycles
     // among inactive gated atoms cost spurious lemmas.
-    let mut scope: HashSet<Var> = fam
+    let mut scope: FxHashSet<Var> = fam
         .shared_orders
         .iter()
         .filter_map(|p| fam.enc.order_vars.get(p).copied())

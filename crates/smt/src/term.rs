@@ -14,8 +14,11 @@
 //! "lightweight semi-decision procedures" of §5.2 live on top of these
 //! in [`crate::simplify`].
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::fmt;
+
+use rustc_hash::FxHashMap;
 
 /// An interned term handle.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,14 +62,29 @@ pub enum Node {
     Or(Vec<TermId>),
 }
 
+/// Marks a term whose negation [`TermPool::not`] has not computed yet.
+const NO_NEG: u32 = u32::MAX;
+
 /// The interning pool for terms.
 ///
 /// Construction requires `&mut self`; reading is `&self`, so a built
 /// pool can be shared across solver threads.
+///
+/// Besides the nodes and their dedup index, the pool keeps a negation
+/// memo: one `u32` per term, holding the id of its negation once
+/// [`TermPool::not`] has computed it (and, symmetrically, the term
+/// itself on its negation's slot). Guard construction negates the same
+/// terms over and over (every complement check of [`TermPool::and`] and
+/// [`TermPool::or`] negates each part), so after the first call `not`
+/// is an array read. The memo only caches: it never interns a node the
+/// constructors would not, so term ids do not depend on it.
 #[derive(Debug)]
 pub struct TermPool {
     nodes: Vec<Node>,
-    dedup: HashMap<Node, TermId>,
+    dedup: FxHashMap<Node, TermId>,
+    /// `neg[t]` is the id of `not(t)`, or [`NO_NEG`] before the first
+    /// `not(t)`.
+    neg: Vec<u32>,
 }
 
 impl Default for TermPool {
@@ -80,10 +98,12 @@ impl TermPool {
     pub fn new() -> Self {
         let mut pool = TermPool {
             nodes: Vec::new(),
-            dedup: HashMap::new(),
+            dedup: FxHashMap::default(),
+            neg: Vec::new(),
         };
-        pool.intern(Node::True);
-        pool.intern(Node::False);
+        let (tt, ff) = (pool.intern(Node::True), pool.intern(Node::False));
+        pool.neg[tt.index()] = ff.0;
+        pool.neg[ff.index()] = tt.0;
         pool
     }
 
@@ -113,6 +133,8 @@ impl TermPool {
     /// Fig. 7b guard-memory accounting): interned nodes, their N-ary
     /// child vectors, and the dedup index. Deterministic — it depends
     /// only on which terms were interned, never on timing or threads.
+    /// The negation memo (4 bytes per term) is a cache and is not
+    /// counted, so the figure means what it meant before the memo.
     pub fn approx_bytes(&self) -> usize {
         let node = std::mem::size_of::<Node>();
         let child = std::mem::size_of::<TermId>();
@@ -142,13 +164,16 @@ impl TermPool {
     /// unsorted `And`, a `Not(Not(_))`, …) would break hash-consed
     /// equality.
     fn intern(&mut self, n: Node) -> TermId {
-        if let Some(&id) = self.dedup.get(&n) {
-            return id;
+        match self.dedup.entry(n) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = TermId(self.nodes.len() as u32);
+                self.nodes.push(e.key().clone());
+                self.neg.push(NO_NEG);
+                e.insert(id);
+                id
+            }
         }
-        let id = TermId(self.nodes.len() as u32);
-        self.nodes.push(n.clone());
-        self.dedup.insert(n, id);
-        id
     }
 
     /// A Boolean (branch) atom.
@@ -162,7 +187,6 @@ impl TermPool {
     /// `not(order_lt(a, b))` are the same term — total order over
     /// distinct events, as sequential consistency prescribes (§3.1).
     pub fn order_lt(&mut self, a: EventId, b: EventId) -> TermId {
-        use std::cmp::Ordering;
         match a.cmp(&b) {
             Ordering::Equal => self.ff(),
             Ordering::Less => self.intern(Node::Order(a, b)),
@@ -174,41 +198,55 @@ impl TermPool {
     }
 
     /// Logical negation with double-negation and constant elimination.
+    /// Memoized: after the first call on a term (or on its negation)
+    /// this is an array read.
     pub fn not(&mut self, t: TermId) -> TermId {
-        match self.node(t) {
-            Node::True => self.ff(),
-            Node::False => self.tt(),
+        let memo = self.neg[t.index()];
+        if memo != NO_NEG {
+            return TermId(memo);
+        }
+        let n = match self.node(t) {
             Node::Not(inner) => *inner,
             _ => self.intern(Node::Not(t)),
-        }
+        };
+        self.neg[t.index()] = n.0;
+        self.neg[n.index()] = t.0;
+        n
+    }
+
+    /// Whether a sorted part list holds some term and its negation.
+    /// Negates each part in order up to the first hit, which fixes which
+    /// `Not` nodes a constructor interns.
+    fn has_complement(&mut self, parts: &[TermId]) -> bool {
+        parts.iter().any(|&p| {
+            let np = self.not(p);
+            parts.binary_search(&np).is_ok()
+        })
     }
 
     /// N-ary conjunction: flattens nested `And`s, folds constants,
     /// deduplicates, and detects complementary literal pairs.
     pub fn and(&mut self, ts: impl IntoIterator<Item = TermId>) -> TermId {
         let mut parts: Vec<TermId> = Vec::new();
-        let mut stack: Vec<TermId> = ts.into_iter().collect();
-        stack.reverse();
-        while let Some(t) = stack.pop() {
+        for t in ts {
             match self.node(t) {
                 Node::True => {}
                 Node::False => return self.ff(),
-                Node::And(inner) => {
-                    let mut inner = inner.clone();
-                    inner.reverse();
-                    stack.extend(inner);
-                }
+                // The parts of an `And` are never constants or `And`s.
+                Node::And(inner) => parts.extend_from_slice(inner),
                 _ => parts.push(t),
             }
         }
+        self.and_flat(parts)
+    }
+
+    /// The rest of [`TermPool::and`] once its parts are flattened.
+    fn and_flat(&mut self, mut parts: Vec<TermId>) -> TermId {
         parts.sort_unstable();
         parts.dedup();
         // Complement detection: x ∧ ¬x ⇒ false.
-        for &p in &parts {
-            let np = self.not(p);
-            if parts.binary_search(&np).is_ok() {
-                return self.ff();
-            }
+        if self.has_complement(&parts) {
+            return self.ff();
         }
         match parts.len() {
             0 => self.tt(),
@@ -217,40 +255,50 @@ impl TermPool {
         }
     }
 
-    /// Binary conjunction convenience.
+    /// Binary conjunction. `true ∧ x`, `x ∧ true` and `x ∧ x` return
+    /// `x` without building part lists, with the same side effect as
+    /// [`TermPool::and`] on `[x]`: the complement check's one `not(x)`
+    /// unless `x` is a constant or an `And` (whose parts' negations are
+    /// interned already).
     pub fn and2(&mut self, a: TermId, b: TermId) -> TermId {
-        self.and([a, b])
+        let (tt, ff) = (self.tt(), self.ff());
+        if a == ff || b == ff {
+            return ff;
+        }
+        let single = if a == tt || a == b {
+            b
+        } else if b == tt {
+            a
+        } else {
+            return self.and([a, b]);
+        };
+        if !matches!(self.node(single), Node::And(_) | Node::True) {
+            self.not(single);
+        }
+        single
     }
 
     /// N-ary disjunction: dual of [`TermPool::and`].
     pub fn or(&mut self, ts: impl IntoIterator<Item = TermId>) -> TermId {
         let mut parts: Vec<TermId> = Vec::new();
-        let mut stack: Vec<TermId> = ts.into_iter().collect();
-        stack.reverse();
-        while let Some(t) = stack.pop() {
+        for t in ts {
             match self.node(t) {
                 Node::False => {}
                 Node::True => return self.tt(),
-                Node::Or(inner) => {
-                    let mut inner = inner.clone();
-                    inner.reverse();
-                    stack.extend(inner);
-                }
+                // The parts of an `Or` are never constants or `Or`s.
+                Node::Or(inner) => parts.extend_from_slice(inner),
                 _ => parts.push(t),
             }
         }
         parts.sort_unstable();
         parts.dedup();
-        for &p in &parts {
-            let np = self.not(p);
-            if parts.binary_search(&np).is_ok() {
-                return self.tt();
-            }
+        if self.has_complement(&parts) {
+            return self.tt();
         }
         // Absorption: x ∨ (x ∧ y) = x. Path-condition merges at CFG
         // joins produce this shape constantly; dropping the absorbed
         // conjunction keeps guards from growing along straight-line code.
-        if parts.len() > 1 {
+        if parts.len() > 1 && parts.iter().any(|&p| matches!(self.node(p), Node::And(_))) {
             let plain: Vec<TermId> = parts
                 .iter()
                 .copied()
@@ -258,7 +306,7 @@ impl TermPool {
                 .collect();
             if !plain.is_empty() {
                 parts.retain(|&p| match self.node(p) {
-                    Node::And(conj) => !conj.iter().any(|c| plain.contains(c)),
+                    Node::And(conj) => !sorted_intersect(conj, &plain),
                     _ => true,
                 });
             }
@@ -267,15 +315,14 @@ impl TermPool {
         // shape a two-armed `if` produces at its join block. Without
         // this rewrite guards grow linearly in the number of preceding
         // branches and every conjunction over them turns quadratic.
-        if parts.len() == 2 {
-            if let (Node::And(xs), Node::And(ys)) =
-                (self.node(parts[0]).clone(), self.node(parts[1]).clone())
-            {
-                let common: Vec<TermId> = xs.iter().copied().filter(|x| ys.contains(x)).collect();
-                let dx: Vec<TermId> = xs.iter().copied().filter(|x| !common.contains(x)).collect();
-                let dy: Vec<TermId> = ys.iter().copied().filter(|y| !common.contains(y)).collect();
-                if dx.len() == 1 && dy.len() == 1 && self.not(dx[0]) == dy[0] {
-                    return self.and(common);
+        if let [p, q] = parts[..] {
+            if let (Node::And(xs), Node::And(ys)) = (self.node(p), self.node(q)) {
+                if let Some((dx, dy)) = lone_difference(xs, ys) {
+                    if self.not(dx) == dy {
+                        let mut common = self.conjuncts_of(p);
+                        common.retain(|&x| x != dx);
+                        return self.and_flat(common);
+                    }
                 }
             }
         }
@@ -286,9 +333,24 @@ impl TermPool {
         }
     }
 
-    /// Binary disjunction convenience.
+    /// Binary disjunction: dual of [`TermPool::and2`], with `false` as
+    /// the identity.
     pub fn or2(&mut self, a: TermId, b: TermId) -> TermId {
-        self.or([a, b])
+        let (tt, ff) = (self.tt(), self.ff());
+        if a == tt || b == tt {
+            return tt;
+        }
+        let single = if a == ff || a == b {
+            b
+        } else if b == ff {
+            a
+        } else {
+            return self.or([a, b]);
+        };
+        if !matches!(self.node(single), Node::Or(_) | Node::False) {
+            self.not(single);
+        }
+        single
     }
 
     /// `a → b` as `¬a ∨ b`.
@@ -379,6 +441,53 @@ impl TermPool {
             }
         }
     }
+}
+
+/// Whether two sorted id lists share an element.
+fn sorted_intersect(xs: &[TermId], ys: &[TermId]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < xs.len() && j < ys.len() {
+        match xs[i].cmp(&ys[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
+/// For two sorted id lists that differ in exactly one element each,
+/// the element only `xs` has and the one only `ys` has; `None` for any
+/// other difference. One merge pass, no allocation.
+fn lone_difference(xs: &[TermId], ys: &[TermId]) -> Option<(TermId, TermId)> {
+    if xs.len() != ys.len() {
+        return None;
+    }
+    let (mut dx, mut dy) = (None, None);
+    let (mut i, mut j) = (0, 0);
+    while i < xs.len() || j < ys.len() {
+        let ord = match (xs.get(i), ys.get(j)) {
+            (Some(x), Some(y)) => x.cmp(y),
+            (Some(_), None) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        match ord {
+            Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+            Ordering::Less if dx.is_none() => {
+                dx = Some(xs[i]);
+                i += 1;
+            }
+            Ordering::Greater if dy.is_none() => {
+                dy = Some(ys[j]);
+                j += 1;
+            }
+            _ => return None,
+        }
+    }
+    Some((dx?, dy?))
 }
 
 /// The atoms occurring in a term.

@@ -11,7 +11,7 @@
 //! DFS and reports the participating atoms as a conflict — the negation
 //! of that set is the theory lemma CDCL(T) learns.
 
-use std::collections::HashMap;
+use rustc_hash::FxHashMap;
 
 use crate::term::EventId;
 
@@ -41,7 +41,7 @@ pub enum TheoryResult {
 /// into clauses over the SAT encoding.
 pub fn check_orders(edges: &[OrderEdge]) -> TheoryResult {
     // Compact the event space.
-    let mut index: HashMap<EventId, usize> = HashMap::new();
+    let mut index: FxHashMap<EventId, usize> = FxHashMap::default();
     for e in edges {
         let next = index.len();
         index.entry(e.from).or_insert(next);

@@ -2,6 +2,7 @@
 //! oracle that enumerates Boolean assignments × total orders of events.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRunner;
 
 use canary_smt::{
     check, check_all_grouped, check_conjunction, check_witness_model, QueryCache, SmtResult,
@@ -24,6 +25,11 @@ enum Shape {
     Or(Vec<Shape>),
 }
 
+/// Random formulas, order chains, formulas conjoined with a chain, and
+/// disjunctions of two chains. A closed chain is Boolean-satisfiable
+/// but has no acyclic order, so those terms reach the order theory:
+/// under an `Or` the prefilter cannot see the cycle, and only theory
+/// lemmas refute it.
 fn shape_strategy() -> impl Strategy<Value = Shape> {
     let leaf = prop_oneof![
         Just(Shape::T),
@@ -31,13 +37,42 @@ fn shape_strategy() -> impl Strategy<Value = Shape> {
         (0..N_BOOLS).prop_map(Shape::B),
         ((0..N_EVENTS), (0..N_EVENTS)).prop_map(|(a, b)| Shape::O(a, b)),
     ];
-    leaf.prop_recursive(4, 24, 4, |inner| {
+    let formula = leaf.prop_recursive(4, 24, 4, |inner| {
         prop_oneof![
             inner.clone().prop_map(|s| Shape::Not(Box::new(s))),
             prop::collection::vec(inner.clone(), 1..4).prop_map(Shape::And),
             prop::collection::vec(inner, 1..4).prop_map(Shape::Or),
         ]
-    })
+    });
+    prop_oneof![
+        formula.clone(),
+        formula.clone(),
+        order_chain(),
+        (formula, order_chain()).prop_map(|(f, c)| Shape::And(vec![f, c])),
+        (order_chain(), order_chain()).prop_map(|(a, b)| Shape::Or(vec![a, b])),
+    ]
+}
+
+/// The conjunction of 2–4 order atoms along a chain of 3–4 distinct
+/// events, closed into a cycle half of the time.
+fn order_chain() -> impl Strategy<Value = Shape> {
+    (3..=N_EVENTS, 0..N_EVENTS, any::<bool>(), any::<bool>()).prop_map(
+        |(n, start, backwards, closed)| {
+            let event = |i: u32| {
+                if backwards {
+                    (start + n - i) % n
+                } else {
+                    (start + i) % n
+                }
+            };
+            let atoms = if closed { n } else { n - 1 };
+            Shape::And(
+                (0..atoms)
+                    .map(|i| Shape::O(event(i), event((i + 1) % n)))
+                    .collect(),
+            )
+        },
+    )
 }
 
 fn build(pool: &mut TermPool, s: &Shape) -> TermId {
@@ -76,6 +111,20 @@ fn brute_force_sat(pool: &TermPool, t: TermId) -> bool {
         }
     }
     false
+}
+
+/// Brute force over the Boolean skeleton: order atoms are free
+/// Booleans, as they are to the SAT solver before any theory lemma.
+fn boolean_sat(pool: &TermPool, t: TermId) -> bool {
+    let orders = pool.atoms_of(t).orders;
+    (0..1u32 << (N_BOOLS as usize + orders.len())).any(|bits| {
+        let bval = |i: u32| bits >> i & 1 == 1;
+        let oval = |a: u32, b: u32| {
+            let k = orders.binary_search(&(a, b)).expect("an atom of the term");
+            bits >> (N_BOOLS as usize + k) & 1 == 1
+        };
+        pool.eval(t, &bval, &oval)
+    })
 }
 
 fn permutations(n: usize) -> Vec<Vec<usize>> {
@@ -135,8 +184,7 @@ proptest! {
         let conj = check_conjunction(&pool, &pool.conjuncts_of(t));
         prop_assert_eq!(conj, expected, "conjuncts of {}", pool.render(t));
 
-        // No generated term needs the order theory for its verdict, so
-        // the family also gets `t` closed by an order cycle: only the
+        // The family also gets `t` closed by an order cycle: only the
         // member's scoped theory check can refute that one.
         let o01 = pool.order_lt(0, 1);
         let o12 = pool.order_lt(1, 2);
@@ -200,4 +248,27 @@ proptest! {
         let t2 = pool.and2(t, tt);
         prop_assert_eq!(t, t2);
     }
+}
+
+/// The terms `cdclt_matches_brute_force` draws must exercise the order
+/// theory: a term that is satisfiable as a Boolean formula but has no
+/// acyclic order gets its verdict only from theory lemmas. Counted over
+/// the same 256 cases (the vendored runner seeds by test name).
+#[test]
+fn generated_terms_reach_the_order_theory() {
+    let runner = TestRunner::new(ProptestConfig::with_cases(256), "cdclt_matches_brute_force");
+    let strategy = shape_strategy();
+    let needs_theory = (0..runner.cases())
+        .filter(|&case| {
+            let shape = strategy.sample(&mut runner.rng_for(case));
+            let mut pool = TermPool::new();
+            let t = build(&mut pool, &shape);
+            boolean_sat(&pool, t) && !brute_force_sat(&pool, t)
+        })
+        .count();
+    assert!(
+        needs_theory * 20 >= runner.cases() as usize,
+        "only {needs_theory} of {} terms need the order theory",
+        runner.cases()
+    );
 }

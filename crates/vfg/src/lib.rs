@@ -18,11 +18,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 use canary_ir::{Label, ObjId, Program, VarId};
 use canary_smt::{TermId, TermPool};
+use rustc_hash::{FxHashMap, FxHashSet};
 
 /// A node handle in the VFG.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -99,18 +100,18 @@ pub struct Edge {
 #[derive(Debug, Default)]
 pub struct Vfg {
     nodes: Vec<NodeKind>,
-    dedup: HashMap<NodeKind, NodeId>,
+    dedup: FxHashMap<NodeKind, NodeId>,
     edges: Vec<Edge>,
     succs: Vec<Vec<u32>>,
     preds: Vec<Vec<u32>>,
     /// Deduplication of (from, to, kind) — re-adding strengthens nothing
     /// (the first guard wins; Alg. 2 only ever adds each edge once).
-    edge_dedup: HashMap<(NodeId, NodeId, EdgeKind), u32>,
+    edge_dedup: FxHashMap<(NodeId, NodeId, EdgeKind), u32>,
     /// Edge index → the escaped object whose `Pted` set licensed the
     /// edge (Alg. 2: the object the store and load addresses meet in).
     /// Populated for interference and line-9 refresh edges only; the
     /// report provenance layer reads it back via [`Vfg::license_of`].
-    licenses: HashMap<u32, ObjId>,
+    licenses: FxHashMap<u32, ObjId>,
 }
 
 impl Vfg {
@@ -121,15 +122,17 @@ impl Vfg {
 
     /// Interns a node.
     pub fn node(&mut self, kind: NodeKind) -> NodeId {
-        if let Some(&n) = self.dedup.get(&kind) {
-            return n;
+        match self.dedup.entry(kind) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = NodeId(self.nodes.len() as u32);
+                e.insert(id);
+                self.nodes.push(kind);
+                self.succs.push(Vec::new());
+                self.preds.push(Vec::new());
+                id
+            }
         }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(kind);
-        self.dedup.insert(kind, id);
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
-        id
     }
 
     /// Interns the `v@ℓ` node.
@@ -149,10 +152,22 @@ impl Vfg {
 
     /// Adds a guarded edge; returns `true` if it is new.
     pub fn add_edge(&mut self, from: NodeId, to: NodeId, kind: EdgeKind, guard: TermId) -> bool {
-        if self.edge_dedup.contains_key(&(from, to, kind)) {
-            return false;
-        }
+        self.insert_edge(from, to, kind, guard).is_some()
+    }
+
+    /// Adds a guarded edge; returns its index if it is new.
+    fn insert_edge(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        kind: EdgeKind,
+        guard: TermId,
+    ) -> Option<u32> {
+        let Entry::Vacant(slot) = self.edge_dedup.entry((from, to, kind)) else {
+            return None;
+        };
         let idx = self.edges.len() as u32;
+        slot.insert(idx);
         self.edges.push(Edge {
             from,
             to,
@@ -161,8 +176,7 @@ impl Vfg {
         });
         self.succs[from.index()].push(idx);
         self.preds[to.index()].push(idx);
-        self.edge_dedup.insert((from, to, kind), idx);
-        true
+        Some(idx)
     }
 
     /// [`add_edge`](Self::add_edge) that additionally records the
@@ -177,10 +191,9 @@ impl Vfg {
         guard: TermId,
         license: ObjId,
     ) -> bool {
-        if !self.add_edge(from, to, kind, guard) {
+        let Some(idx) = self.insert_edge(from, to, kind, guard) else {
             return false;
-        }
-        let idx = self.edge_dedup[&(from, to, kind)];
+        };
         self.licenses.insert(idx, license);
         true
     }
@@ -269,7 +282,7 @@ impl Vfg {
         start: NodeId,
         base: TermId,
     ) -> Vec<(NodeId, TermId)> {
-        let mut guard_of: HashMap<NodeId, TermId> = HashMap::new();
+        let mut guard_of: FxHashMap<NodeId, TermId> = FxHashMap::default();
         guard_of.insert(start, base);
         let mut work = vec![start];
         let mut out = Vec::new();
@@ -277,7 +290,7 @@ impl Vfg {
             let g = guard_of[&n];
             out.push((n, g));
             for e in self.out_edges(n) {
-                if let std::collections::hash_map::Entry::Vacant(slot) = guard_of.entry(e.to) {
+                if let Entry::Vacant(slot) = guard_of.entry(e.to) {
                     slot.insert(pool.and2(g, e.guard));
                     work.push(e.to);
                 }
@@ -292,7 +305,7 @@ impl Vfg {
     pub fn objects_reaching(&self, n: NodeId) -> Vec<ObjId> {
         // A reverse search usually stops a few nodes from `n`, so the
         // visited set grows with the search, not with the graph.
-        let mut seen: HashSet<NodeId> = HashSet::from([n]);
+        let mut seen: FxHashSet<NodeId> = FxHashSet::from_iter([n]);
         let mut work = vec![n];
         let mut out = Vec::new();
         while let Some(x) = work.pop() {
