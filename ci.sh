@@ -233,6 +233,33 @@ else
     grep -q '"disposition":"pruned_lock_sharpen"' "$out/audited.jsonl"
     grep -q '"disposition":"unsat_core"' "$out/audited.jsonl"
 fi
+# --json gate: the document parses, carries schema_version 5 and the
+# five metrics keys, and the canary_audit_* samples of its registry
+# satisfy the reconciliation invariant.
+./target/release/canary examples/fig2_variant.cir --json \
+    > "$out/fig2.json" || [ $? -eq 1 ]  # exit 1 = bug reported
+if command -v python3 >/dev/null 2>&1; then
+    DOC="$out/fig2.json" python3 -c '
+import json, os
+doc = json.load(open(os.environ["DOC"]))
+assert doc["schema_version"] == 5, doc["schema_version"]
+m = doc["metrics"]
+keys = ["hot_functions", "hot_queries", "memory_model", "registry", "strategy"]
+assert sorted(m) == keys, sorted(m)
+audit = {f["name"][len("canary_audit_"):]: f["samples"][0]["value"]
+         for f in m["registry"]["families"]
+         if f["name"].startswith("canary_audit_")}
+parts = ["reported", "deduped", "prefiltered", "unsat", "memoized",
+         "scope_filtered"]
+assert audit["candidates"] == sum(audit[k] for k in parts), audit
+assert audit["reported"] == 1, audit'
+else
+    grep -q '"schema_version": 5' "$out/fig2.json"
+    for key in registry memory_model strategy hot_queries hot_functions; do
+        grep -q "\"$key\":" "$out/fig2.json"
+    done
+    grep -q '"name": "canary_audit_candidates"' "$out/fig2.json"
+fi
 # why-not smoke: the reported fig2_variant pair answers "reported",
 # each suppressed audited.cir pair prints its layer's certificate, and
 # a never-enumerated pair exits 1.

@@ -150,12 +150,12 @@ pub fn phase_breakdown(m: &canary_core::Metrics) -> Vec<Vec<String>> {
         row(
             "alg1 dataflow",
             m.t_dataflow,
-            format!("{}", m.dataflow_phase.tasks),
+            format!("{}", m.dataflow_tasks),
         ),
         row(
             "alg2 interference",
             m.t_interference,
-            format!("{}", m.interference_phase.tasks),
+            format!("{}", m.interference_tasks),
         ),
         row("detect+smt", m.t_detect, format!("{}", m.detect.queries)),
     ]
@@ -203,9 +203,9 @@ pub fn attribution_report(m: &canary_core::Metrics, k: usize) -> String {
                     format!("{}->{}", p.source.0, p.sink.0),
                     format!("{}", p.path_len),
                     format!("{}", p.bool_atoms + p.order_atoms),
-                    format!("{}", p.decisions),
-                    format!("{}", p.conflicts),
-                    if p.prefiltered {
+                    format!("{}", p.stats.decisions),
+                    format!("{}", p.stats.conflicts),
+                    if p.stats.prefiltered {
                         "prefilter".into()
                     } else if p.sat {
                         "sat".into()

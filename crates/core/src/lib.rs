@@ -82,7 +82,8 @@ pub struct CanaryConfig {
     /// labels (the transformed program travels in the outcome).
     pub context_depth: usize,
     /// Worker threads of the query-family solver (the larger of this
-    /// and `detect.solver.num_threads` is used); Alg. 1 and Alg. 2 run
+    /// and `detect.solver.num_threads` is used, see
+    /// [`solver_threads`](Self::solver_threads)); Alg. 1 and Alg. 2 run
     /// on the calling thread. Output is byte-identical for any value,
     /// threads only change wall time. Defaults to `1`, or to
     /// `CANARY_TEST_THREADS` when set (so test suites can sweep worker
@@ -117,6 +118,15 @@ impl Default for CanaryConfig {
     }
 }
 
+impl CanaryConfig {
+    /// The worker pool the query-family solver runs with: the
+    /// [`threads`](Self::threads) knob, unless the solver was tuned
+    /// separately to more.
+    pub fn solver_threads(&self) -> usize {
+        self.detect.solver.num_threads.max(self.threads.max(1))
+    }
+}
+
 /// The default worker count: `CANARY_TEST_THREADS` when set and valid,
 /// else 1 (serial).
 fn default_threads() -> usize {
@@ -125,24 +135,6 @@ fn default_threads() -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1)
-}
-
-/// Wall time and scheduling shape of one pipeline phase.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseStats {
-    /// Wall-clock time of the phase.
-    pub wall: Duration,
-    /// Worker threads the phase ran with (1 for Alg. 1 and Alg. 2).
-    pub workers: usize,
-    /// Independent work items the phase executed (call-graph SCC tasks
-    /// for Alg. 1; `Pted` sweeps plus per-load scans for Alg. 2; SMT
-    /// queries for detection).
-    pub tasks: usize,
-    /// Process peak RSS in bytes, sampled at phase end (`VmHWM`, a
-    /// monotone high-water mark — see
-    /// [`canary_trace::metrics::peak_rss_bytes`]). **Volatile**: never
-    /// compared across runs; 0 where the platform has no accounting.
-    pub peak_rss: u64,
 }
 
 /// Per-run measurements, the raw material for the Fig. 7/8 harnesses.
@@ -170,23 +162,27 @@ pub struct Metrics {
     /// Approximate term-table bytes (Fig. 7b guard-memory accounting;
     /// deterministic, unlike the RSS gauges).
     pub term_bytes: usize,
-    /// Time in Alg. 1.
+    /// Wall time of the `dataflow` phase: building the call graph and
+    /// the thread structure, then Alg. 1.
     pub t_dataflow: Duration,
-    /// Time in Alg. 2.
+    /// Wall time of the `interference` phase: building the MHP
+    /// relation, then Alg. 2.
     pub t_interference: Duration,
-    /// Time in §5 checking (path search + SMT).
+    /// Wall time of the `detect` phase: building the detection
+    /// context, §5 checking (path search + SMT) and report dedup.
     pub t_detect: Duration,
     /// Candidate paths / SMT queries / confirmed reports.
     pub detect: DetectStats,
-    /// Configured worker threads ([`CanaryConfig::threads`]).
-    pub worker_threads: usize,
-    /// Scheduling shape of the Alg. 1 phase.
-    pub dataflow_phase: PhaseStats,
-    /// Scheduling shape of the Alg. 2 phase.
-    pub interference_phase: PhaseStats,
-    /// Scheduling shape of the §5 detection phase (tasks = SMT
-    /// queries, workers = parallel solver threads).
-    pub detect_phase: PhaseStats,
+    /// Call-graph SCC tasks Alg. 1 analyzed.
+    pub dataflow_tasks: usize,
+    /// Alg. 2 work items: `Pted` sweeps plus per-load scans.
+    pub interference_tasks: usize,
+    /// Process peak RSS in bytes (`VmHWM`, a monotone high-water mark,
+    /// see [`canary_trace::metrics::peak_rss_bytes`]) sampled at the
+    /// end of the dataflow, interference and detect phases, in that
+    /// order. **Volatile**: never compared across runs; 0 where the
+    /// platform has no accounting.
+    pub peak_rss: [u64; 3],
     /// Witness schedules replayed by the concrete oracle (0 unless
     /// [`CanaryConfig::verify_witnesses`] is on).
     pub witnesses_checked: usize,
@@ -228,7 +224,7 @@ impl Metrics {
         let mut v: Vec<&QueryProfile> = self.query_profiles.iter().collect();
         v.sort_by_key(|p| {
             (
-                std::cmp::Reverse((p.decisions, p.conflicts, p.propagations)),
+                std::cmp::Reverse((p.stats.decisions, p.stats.conflicts, p.stats.propagations)),
                 p.source.0,
                 p.sink.0,
                 p.kind as u64,
@@ -318,12 +314,6 @@ impl Metrics {
             "canary_escaped_objects",
             "Escaped objects found by Alg. 2",
             self.escaped_objects as f64,
-        );
-        g(
-            &mut reg,
-            "canary_worker_threads",
-            "Configured worker threads",
-            self.worker_threads as f64,
         );
 
         let c = |reg: &mut MetricsRegistry, name, help, v: f64| {
@@ -511,35 +501,30 @@ impl Metrics {
             a.pruned_order as f64,
         );
 
-        for (phase, s) in [
-            ("dataflow", &self.dataflow_phase),
-            ("interference", &self.interference_phase),
-            ("detect", &self.detect_phase),
-        ] {
+        let phases = [
+            ("dataflow", self.t_dataflow, self.dataflow_tasks),
+            ("interference", self.t_interference, self.interference_tasks),
+            ("detect", self.t_detect, self.detect.queries),
+        ];
+        for ((phase, wall, tasks), peak_rss) in phases.into_iter().zip(self.peak_rss) {
             let labels = [("phase", phase)];
-            reg.set_gauge(
-                "canary_phase_workers",
-                "Worker threads the phase ran with",
-                &labels,
-                s.workers as f64,
-            );
             reg.set_gauge(
                 "canary_phase_tasks",
                 "Independent work items the phase executed",
                 &labels,
-                s.tasks as f64,
+                tasks as f64,
             );
             reg.set_gauge(
                 "canary_phase_wall_seconds",
                 "Phase wall-clock time (volatile)",
                 &labels,
-                s.wall.as_secs_f64(),
+                wall.as_secs_f64(),
             );
             reg.set_gauge(
                 "canary_phase_peak_rss_bytes",
                 "Process peak RSS at phase end (volatile)",
                 &labels,
-                s.peak_rss as f64,
+                peak_rss as f64,
             );
         }
 
@@ -551,7 +536,7 @@ impl Metrics {
                 "CDCL decisions per SMT query, by query family",
                 &labels,
                 &DECISION_BUCKETS,
-                p.decisions as f64,
+                p.stats.decisions as f64,
             );
             reg.observe(
                 "canary_smt_query_seconds",
@@ -733,13 +718,8 @@ impl Canary {
         }
 
         let t0 = Instant::now();
-        // The `threads` knob sets the query-family solver's workers,
-        // unless the solver was tuned separately to more.
         let mut detect_opts = self.config.detect.clone();
-        detect_opts.solver.num_threads = detect_opts
-            .solver
-            .num_threads
-            .max(self.config.threads.max(1));
+        detect_opts.solver.num_threads = self.config.solver_threads();
         let ctx = DetectContext::new(prog, &ts, &mhp, &df, &detect_opts);
         let mut stats = DetectStats::default();
         let mut reports = Vec::new();
@@ -820,12 +800,7 @@ impl Canary {
             )
         });
         metrics.t_detect = t0.elapsed();
-        metrics.detect_phase = PhaseStats {
-            wall: metrics.t_detect,
-            workers: detect_opts.solver.num_threads,
-            tasks: stats.queries,
-            peak_rss: canary_trace::metrics::peak_rss_bytes(),
-        };
+        metrics.peak_rss[2] = canary_trace::metrics::peak_rss_bytes();
         metrics.detect = stats;
         metrics.term_count = pool.len();
         metrics.term_bytes = pool.approx_bytes();
@@ -869,25 +844,9 @@ impl Canary {
         ThreadStructure,
         Metrics,
     ) {
-        self.build_vfg_traced(prog, &Tracer::disabled())
-    }
-
-    /// [`build_vfg`](Self::build_vfg) with spans collected into `tracer`.
-    #[allow(clippy::type_complexity)]
-    pub fn build_vfg_traced(
-        &self,
-        prog: &Program,
-        tracer: &Tracer,
-    ) -> (
-        TermPool,
-        canary_dataflow::DataflowResult,
-        InterferenceResult,
-        CallGraph,
-        ThreadStructure,
-        Metrics,
-    ) {
-        let (cg, ts, mut vfg) = self.alg1_phase(prog, tracer);
-        let ir_result = self.alg2_phase(prog, &cg, &ts, &mut vfg, tracer).1;
+        let tracer = Tracer::disabled();
+        let (cg, ts, mut vfg) = self.alg1_phase(prog, &tracer);
+        let ir_result = self.alg2_phase(prog, &cg, &ts, &mut vfg, &tracer).1;
         (vfg.pool, vfg.df, ir_result, cg, ts, vfg.metrics)
     }
 
@@ -901,7 +860,6 @@ impl Canary {
         let mut metrics = Metrics {
             stmt_count: prog.stmt_count(),
             thread_count: prog.threads.len(),
-            worker_threads: self.config.threads.max(1),
             ..Metrics::default()
         };
         let mut pool = TermPool::new();
@@ -921,12 +879,8 @@ impl Canary {
             df
         };
         metrics.t_dataflow = t0.elapsed();
-        metrics.dataflow_phase = PhaseStats {
-            wall: metrics.t_dataflow,
-            workers: 1,
-            tasks: df.tasks,
-            peak_rss: canary_trace::metrics::peak_rss_bytes(),
-        };
+        metrics.dataflow_tasks = df.tasks;
+        metrics.peak_rss[0] = canary_trace::metrics::peak_rss_bytes();
         canary_trace::log(LogLevel::Summary, || {
             format!(
                 "alg1: {} task(s) over {} function(s) in {:?}",
@@ -962,12 +916,8 @@ impl Canary {
             r
         };
         metrics.t_interference = t1.elapsed();
-        metrics.interference_phase = PhaseStats {
-            wall: metrics.t_interference,
-            workers: 1,
-            tasks: ir_result.tasks,
-            peak_rss: canary_trace::metrics::peak_rss_bytes(),
-        };
+        metrics.interference_tasks = ir_result.tasks;
+        metrics.peak_rss[1] = canary_trace::metrics::peak_rss_bytes();
         canary_trace::log(LogLevel::Summary, || {
             format!(
                 "alg2: {} round(s), {} interference edge(s) in {:?}",

@@ -8,7 +8,7 @@ use std::time::Duration;
 use canary_dataflow::{DataflowResult, LockModel};
 use canary_ir::{Inst, Label, MhpAnalysis, Program, ThreadStructure, VarId, MAIN_THREAD};
 use canary_smt::{
-    check_all_grouped, check_orders, EventId, Node, OrderEdge, QueryCache, SmtResult,
+    check_all_grouped, check_orders, EventId, Node, OrderEdge, QueryCache, QueryStats, SmtResult,
     SolverOptions, TermId, TermPool, TheoryResult,
 };
 use canary_trace::{Tracer, LANE_DETECT, LANE_SMT};
@@ -140,18 +140,8 @@ pub struct QueryProfile {
     pub order_atoms: u64,
     /// Whether the query was satisfiable (a confirmed flow).
     pub sat: bool,
-    /// Answered by the prefilter alone.
-    pub prefiltered: bool,
-    /// CDCL decisions.
-    pub decisions: u64,
-    /// CDCL conflicts.
-    pub conflicts: u64,
-    /// Unit propagations.
-    pub propagations: u64,
-    /// Learned clauses retained.
-    pub learned: u64,
-    /// Theory lemmas fed back.
-    pub theory_lemmas: u64,
+    /// The solver's work counters for this query.
+    pub stats: QueryStats,
     /// Answered from the hash-consed result memo.
     pub memo_hit: bool,
     /// Refuted by UNSAT-core subsumption.
@@ -163,6 +153,30 @@ pub struct QueryProfile {
     pub family: u64,
     /// Wall time spent solving (not deterministic).
     pub wall: Duration,
+}
+
+impl QueryProfile {
+    /// The record's deterministic counters by name, flags as 0 or 1:
+    /// the one list behind the `smt.query` span arguments, the
+    /// slow-query line and the `--json` hottest-queries entries.
+    pub fn counters(&self) -> [(&'static str, u64); 13] {
+        let s = &self.stats;
+        [
+            ("sat", u64::from(self.sat)),
+            ("prefiltered", u64::from(s.prefiltered)),
+            ("path_len", self.path_len),
+            ("bool_atoms", self.bool_atoms),
+            ("order_atoms", self.order_atoms),
+            ("decisions", s.decisions),
+            ("conflicts", s.conflicts),
+            ("propagations", s.propagations),
+            ("learned", s.learned),
+            ("theory_lemmas", s.theory_lemmas),
+            ("memo_hit", u64::from(self.memo_hit)),
+            ("core_subsumed", u64::from(self.core_subsumed)),
+            ("incremental", u64::from(self.incremental)),
+        ]
+    }
 }
 
 /// Everything the detector reads; built once per program by the
@@ -265,19 +279,7 @@ pub fn check_kind(
     opts: &DetectOptions,
     stats: &mut DetectStats,
 ) -> Vec<BugReport> {
-    check_kind_explained(ctx, pool, kind, opts, stats).0
-}
-
-/// Like [`check_kind`], additionally returning a minimized refutation
-/// core for every candidate the solver dismissed.
-pub fn check_kind_explained(
-    ctx: &DetectContext<'_>,
-    pool: &mut TermPool,
-    kind: BugKind,
-    opts: &DetectOptions,
-    stats: &mut DetectStats,
-) -> (Vec<BugReport>, Vec<RefutedCandidate>) {
-    let (reports, refuted, _profiles) = check_kind_traced(
+    check_kind_traced(
         ctx,
         pool,
         kind,
@@ -286,13 +288,15 @@ pub fn check_kind_explained(
         &Tracer::disabled(),
         &mut QueryCache::new(),
         &mut AuditLog::new(),
-    );
-    (reports, refuted)
+    )
+    .0
 }
 
-/// [`check_kind_explained`] plus observability: a per-kind span on the
-/// detection lane, one span and one [`QueryProfile`] per SMT query on
-/// the SMT lane, and the solver-work counters folded into `stats`.
+/// [`check_kind`] plus a minimized refutation core for every candidate
+/// the solver dismissed (when [`DetectOptions::explain_refutations`]
+/// is on) and observability: a per-kind span on the detection lane,
+/// one span and one [`QueryProfile`] per SMT query on the SMT lane, and
+/// the solver-work counters folded into `stats`.
 ///
 /// `cache` is the cross-checker [`QueryCache`]: pass the same instance
 /// to every checker of one analysis run so UNSAT cores and memoized
@@ -449,27 +453,20 @@ fn validate(
             bool_atoms,
             order_atoms,
             sat: o.result == SmtResult::Sat,
-            prefiltered: o.stats.prefiltered,
-            decisions: o.stats.decisions,
-            conflicts: o.stats.conflicts,
-            propagations: o.stats.propagations,
-            learned: o.stats.learned,
-            theory_lemmas: o.stats.theory_lemmas,
+            stats: o.stats,
             memo_hit: o.memo_hit,
             core_subsumed: o.core_subsumed,
             incremental: o.incremental,
             family: cand.family,
             wall: o.wall,
         };
-        // Aggregate only the per-query counters (not the shared atomics,
-        // which diagnostics below would pollute): sums of deterministic
-        // per-query counts stay deterministic.
-        stats.prefiltered += u64::from(p.prefiltered);
-        stats.decisions += p.decisions;
-        stats.conflicts += p.conflicts;
-        stats.propagations += p.propagations;
-        stats.learned += p.learned;
-        stats.theory_lemmas += p.theory_lemmas;
+        // Sums of deterministic per-query counts stay deterministic.
+        stats.prefiltered += u64::from(p.stats.prefiltered);
+        stats.decisions += p.stats.decisions;
+        stats.conflicts += p.stats.conflicts;
+        stats.propagations += p.stats.propagations;
+        stats.learned += p.stats.learned;
+        stats.theory_lemmas += p.stats.theory_lemmas;
         stats.memo_hits += u64::from(p.memo_hit);
         stats.core_subsumed += u64::from(p.core_subsumed);
         stats.incremental += u64::from(p.incremental);
@@ -481,21 +478,7 @@ fn validate(
             o.started,
             o.wall,
             || {
-                let mut args = vec![
-                    ("sat", u64::from(p.sat)),
-                    ("prefiltered", u64::from(p.prefiltered)),
-                    ("path_len", p.path_len),
-                    ("bool_atoms", p.bool_atoms),
-                    ("order_atoms", p.order_atoms),
-                    ("decisions", p.decisions),
-                    ("conflicts", p.conflicts),
-                    ("propagations", p.propagations),
-                    ("learned", p.learned),
-                    ("theory_lemmas", p.theory_lemmas),
-                    ("memo_hit", u64::from(p.memo_hit)),
-                    ("core_subsumed", u64::from(p.core_subsumed)),
-                    ("incremental", u64::from(p.incremental)),
-                ];
+                let mut args = p.counters().to_vec();
                 if p.sat {
                     // Cross-link the span with the report the query
                     // belongs to: the fingerprint is the stable join key
@@ -509,29 +492,20 @@ fn validate(
             if p.wall.as_millis() as u64 >= budget_ms {
                 // Watchdog output is opt-in via the budget itself, so it
                 // bypasses CANARY_LOG: asking for it means wanting it.
+                let counters: Vec<String> = p
+                    .counters()
+                    .iter()
+                    .map(|(k, v)| format!("{k}={v}"))
+                    .collect();
                 eprintln!(
                     "canary: slow-query: {} {}->{} took {:?} (budget {budget_ms}ms): \
-                     family={} path_len={} bool_atoms={} order_atoms={} decisions={} \
-                     conflicts={} propagations={} learned={} theory_lemmas={} sat={} \
-                     prefiltered={} memo_hit={} core_subsumed={} incremental={}",
+                     family={} {}",
                     p.kind,
                     p.source.0,
                     p.sink.0,
                     p.wall,
                     p.family,
-                    p.path_len,
-                    p.bool_atoms,
-                    p.order_atoms,
-                    p.decisions,
-                    p.conflicts,
-                    p.propagations,
-                    p.learned,
-                    p.theory_lemmas,
-                    p.sat,
-                    p.prefiltered,
-                    p.memo_hit,
-                    p.core_subsumed,
-                    p.incremental,
+                    counters.join(" "),
                 );
             }
         }

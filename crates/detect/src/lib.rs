@@ -32,8 +32,8 @@ pub mod sync;
 
 pub use audit::{AuditLayer, AuditLog, AuditRecord, AuditSummary, Disposition};
 pub use detector::{
-    check_all_kinds, check_kind, check_kind_explained, check_kind_traced, DetectContext,
-    DetectOptions, DetectStats, MemoryModel, QueryProfile, RefutedCandidate,
+    check_all_kinds, check_kind, check_kind_traced, DetectContext, DetectOptions, DetectStats,
+    MemoryModel, QueryProfile, RefutedCandidate,
 };
 pub use path::{
     enumerate_paths, enumerate_paths_budgeted, enumerate_paths_pruned, PathLimits, PathTruncation,

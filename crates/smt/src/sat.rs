@@ -120,7 +120,8 @@ struct Clause {
     learnt: bool,
 }
 
-/// Statistics counters exposed for the benchmark harness.
+/// CDCL work counters, cumulative over the solver's life; the
+/// per-query `QueryStats` are their growth across one solve.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SatStats {
     /// Number of decisions made.
@@ -129,8 +130,6 @@ pub struct SatStats {
     pub conflicts: u64,
     /// Number of unit propagations.
     pub propagations: u64,
-    /// Number of restarts performed.
-    pub restarts: u64,
 }
 
 /// The CDCL solver.
@@ -153,7 +152,7 @@ pub struct SatSolver {
     var_inc: f64,
     /// Saved phases for phase-saving.
     phase: Vec<bool>,
-    /// Stats for the harness.
+    /// Work counters.
     pub stats: SatStats,
     ok: bool,
     /// Assumption literals responsible for the last
@@ -565,7 +564,6 @@ impl SatSolver {
                 self.record_learnt(learnt);
                 self.var_inc *= 1.0 / 0.95;
                 if conflicts_since_restart > restart_budget {
-                    self.stats.restarts += 1;
                     conflicts_since_restart = 0;
                     restart_idx += 1;
                     restart_budget = 100 * luby(restart_idx);

@@ -139,8 +139,6 @@ pub struct QueryStats {
     pub conflicts: u64,
     /// Unit propagations.
     pub propagations: u64,
-    /// Restarts.
-    pub restarts: u64,
     /// Learned clauses retained (conflict clauses; theory lemmas are
     /// counted separately).
     pub learned: u64,
@@ -155,7 +153,6 @@ impl QueryStats {
         self.decisions += sat.stats.decisions - base.decisions;
         self.conflicts += sat.stats.conflicts - base.conflicts;
         self.propagations += sat.stats.propagations - base.propagations;
-        self.restarts += sat.stats.restarts - base.restarts;
         self.learned += sat.num_learnt() as u64 - learnt_before;
     }
 }

@@ -17,7 +17,7 @@
 //!   manifest quarantines `timings`:
 //!   - **volatile** families ([`family_is_volatile`]: wall-clock
 //!     `_seconds` and `_rss_` memory families) legitimately differ
-//!     between runs; [`normalize_openmetrics`] zeroes them so
+//!     between runs; [`normalize_openmetrics`] drops them so
 //!     everything left must be byte-identical across `--threads`
 //!     values and solver strategies;
 //!   - **strategy-sensitive** families
@@ -273,6 +273,23 @@ impl MetricsRegistry {
         out
     }
 
+    /// The counter and gauge samples as `family{labels} value` lines
+    /// (no `_total` suffix; histograms left out), in export order: the
+    /// body of the `--stats` footer.
+    pub fn scalar_lines(&self) -> impl Iterator<Item = String> + '_ {
+        self.families.iter().flat_map(|(name, fam)| {
+            fam.samples
+                .iter()
+                .filter_map(move |(labels, sample)| match sample {
+                    Sample::Value(v) if labels.is_empty() => {
+                        Some(format!("{name} {}", SampleValue(*v)))
+                    }
+                    Sample::Value(v) => Some(format!("{name}{{{labels}}} {}", SampleValue(*v))),
+                    Sample::Hist(_) => None,
+                })
+        })
+    }
+
     /// Renders the registry as the versioned JSON block embedded under
     /// `metrics.registry` in `--json` output.
     pub fn to_json(&self) -> serde_json::Value {
@@ -336,16 +353,6 @@ pub fn family_is_strategy_sensitive(name: &str) -> bool {
     name.starts_with("canary_solver_")
 }
 
-/// Whether a metric family is a **configuration echo** — it records a
-/// run knob (worker counts) rather than a property of the analyzed
-/// program. Deterministic for fixed flags, but the determinism
-/// comparisons *vary* exactly those knobs, so the normalizers zero
-/// these too — the SARIF manifest's `threads` field plays the same
-/// role there.
-pub fn family_is_config(name: &str) -> bool {
-    name == "canary_worker_threads" || name == "canary_phase_workers"
-}
-
 /// The family name behind one OpenMetrics sample line, with the
 /// `_total` / `_bucket` / `_sum` / `_count` sample suffixes stripped;
 /// `None` for comment and blank lines.
@@ -374,10 +381,9 @@ fn comment_family(line: &str) -> Option<&str> {
 }
 
 /// Normalizes an OpenMetrics document for determinism comparisons:
-/// *drops* volatile families entirely (headers and samples) and zeroes
-/// the sample values of
-/// configuration-echo families (and, when `cross_strategy` is set, the
-/// strategy-sensitive solver-work families, whose presence is
+/// *drops* volatile families entirely (headers and samples) and, when
+/// `cross_strategy` is set, zeroes the sample values of the
+/// strategy-sensitive solver-work families (whose presence is
 /// unconditional). Everything left must be byte-identical across
 /// `--threads` values — and, with `cross_strategy`, across solver
 /// strategies.
@@ -388,9 +394,7 @@ pub fn normalize_openmetrics(text: &str, cross_strategy: bool) -> String {
         if fam.is_some_and(family_is_volatile) {
             continue;
         }
-        let zero = sample_family(line).is_some_and(|fam| {
-            family_is_config(fam) || (cross_strategy && family_is_strategy_sensitive(fam))
-        });
+        let zero = cross_strategy && sample_family(line).is_some_and(family_is_strategy_sensitive);
         match (zero, line.rsplit_once(' ')) {
             (true, Some((head, _))) => {
                 out.push_str(head);
@@ -406,9 +410,9 @@ pub fn normalize_openmetrics(text: &str, cross_strategy: bool) -> String {
 }
 
 /// [`normalize_openmetrics`] for the JSON rendering: drops volatile
-/// families and zeroes the same knob-echoing families in a parsed
-/// `registry` block (as produced by [`MetricsRegistry::to_json`]) in
-/// place.
+/// families and, with `cross_strategy`, zeroes the strategy-sensitive
+/// ones in a parsed `registry` block (as produced by
+/// [`MetricsRegistry::to_json`]) in place.
 pub fn normalize_registry_json(doc: &mut serde_json::Value, cross_strategy: bool) {
     let serde_json::Value::Object(top) = doc else {
         return;
@@ -417,11 +421,14 @@ pub fn normalize_registry_json(doc: &mut serde_json::Value, cross_strategy: bool
         return;
     };
     families.retain(|fam| !fam["name"].as_str().is_some_and(family_is_volatile));
+    if !cross_strategy {
+        return;
+    }
     for fam in families {
-        let zero = fam["name"].as_str().is_some_and(|name| {
-            family_is_config(name) || (cross_strategy && family_is_strategy_sensitive(name))
-        });
-        if !zero {
+        if !fam["name"]
+            .as_str()
+            .is_some_and(family_is_strategy_sensitive)
+        {
             continue;
         }
         let serde_json::Value::Object(fam) = fam else {
@@ -579,6 +586,24 @@ mod tests {
     }
 
     #[test]
+    fn scalar_lines_skip_histograms_and_keep_export_order() {
+        let mut reg = MetricsRegistry::new();
+        reg.add_counter("canary_queries", "q", &[], 3.0);
+        reg.observe("canary_query_decisions", "d", &[], &[1.0], 0.5);
+        reg.set_gauge("canary_wall_seconds", "w", &[], 0.25);
+        reg.set_gauge("canary_phase_tasks", "t", &[("phase", "detect")], 7.0);
+        let lines: Vec<String> = reg.scalar_lines().collect();
+        assert_eq!(
+            lines,
+            [
+                r#"canary_phase_tasks{phase="detect"} 7"#,
+                "canary_queries 3",
+                "canary_wall_seconds 0.25",
+            ]
+        );
+    }
+
+    #[test]
     fn export_order_is_insertion_independent() {
         let mut a = MetricsRegistry::new();
         a.set_gauge("m_b", "b", &[], 1.0);
@@ -664,38 +689,5 @@ mod tests {
         assert!(!family_is_volatile("canary_audit_candidates"));
         assert!(family_is_strategy_sensitive("canary_solver_memo_hits"));
         assert!(!family_is_strategy_sensitive("canary_detect_queries"));
-        assert!(family_is_config("canary_worker_threads"));
-        assert!(family_is_config("canary_phase_workers"));
-        assert!(!family_is_config("canary_phase_tasks"));
-    }
-
-    #[test]
-    fn config_echo_families_are_normalized() {
-        let mut reg = MetricsRegistry::new();
-        reg.set_gauge("canary_worker_threads", "threads", &[], 4.0);
-        reg.set_gauge(
-            "canary_phase_workers",
-            "workers",
-            &[("phase", "detect")],
-            4.0,
-        );
-        reg.set_gauge("canary_phase_tasks", "tasks", &[("phase", "detect")], 7.0);
-        let norm = normalize_openmetrics(&reg.to_openmetrics(), false);
-        assert!(norm.contains("canary_worker_threads 0\n"));
-        assert!(norm.contains("canary_phase_workers{phase=\"detect\"} 0\n"));
-        assert!(norm.contains("canary_phase_tasks{phase=\"detect\"} 7\n"));
-        let mut doc = reg.to_json();
-        normalize_registry_json(&mut doc, false);
-        let fams = doc["families"].as_array().unwrap();
-        let threads = fams
-            .iter()
-            .find(|f| f["name"] == "canary_worker_threads")
-            .unwrap();
-        assert_eq!(threads["samples"][0]["value"].as_f64(), Some(0.0));
-        let tasks = fams
-            .iter()
-            .find(|f| f["name"] == "canary_phase_tasks")
-            .unwrap();
-        assert_eq!(tasks["samples"][0]["value"].as_f64(), Some(7.0));
     }
 }

@@ -48,8 +48,8 @@
 //!   --slow-query-ms N     log any SMT query at or over N ms to stderr
 //!                         with its full QueryProfile attribution
 //!   --log LEVEL           off, summary or debug; overrides CANARY_LOG
-//!   --stats               print per-phase metrics, solver totals and
-//!                         the hottest queries/functions
+//!   --stats               print the run's counters and gauges, the
+//!                         audit line and the hottest queries/functions
 //! ```
 //!
 //! The `diff` subcommand compares two SARIF files by their stable
@@ -66,10 +66,6 @@
 //! The `CANARY_LOG` environment variable (`summary` or `debug`) turns
 //! on human-readable progress lines on stderr; stdout stays reserved
 //! for results. `--log` overrides it per invocation.
-
-// The vendored `json!` macro expands recursively per key; the enriched
-// `--json` metrics block overflows the default limit of 128.
-#![recursion_limit = "512"]
 
 use std::process::ExitCode;
 
@@ -592,7 +588,6 @@ fn main() -> ExitCode {
     } else {
         canary_trace::Tracer::disabled()
     };
-    let strategy = cli.config.detect.solver.strategy;
     let outcome = Canary::with_config(cli.config.clone()).analyze_traced(&prog, &tracer);
     if let Some(path) = &cli.trace_out {
         if let Err(e) = write_output(path, &tracer.export_chrome()) {
@@ -611,7 +606,7 @@ fn main() -> ExitCode {
         }
     }
     let prog = outcome.analyzed_program.as_ref().unwrap_or(&prog);
-    let manifest = run_manifest(&cli, &src, &cli.config, strategy.as_str(), &outcome.metrics);
+    let manifest = run_manifest(&cli, &src, &outcome.metrics);
     let needs_sarif =
         cli.sarif_out.is_some() || cli.baseline.is_some() || cli.format == OutputFormat::Sarif;
     let sarif_doc =
@@ -623,7 +618,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &cli.json_out {
-        let doc = json_document(&cli, prog, &outcome, strategy.as_str());
+        let doc = json_document(&cli, prog, &outcome);
         let text = serde_json::to_string_pretty(&doc).expect("valid json");
         if let Err(e) = write_output(path, &text) {
             return e;
@@ -633,13 +628,13 @@ fn main() -> ExitCode {
         let doc = sarif_doc.as_ref().expect("built above");
         println!("{}", serde_json::to_string_pretty(doc).expect("valid json"));
     } else if cli.format == OutputFormat::Json {
-        let doc = json_document(&cli, prog, &outcome, strategy.as_str());
+        let doc = json_document(&cli, prog, &outcome);
         println!(
             "{}",
             serde_json::to_string_pretty(&doc).expect("valid json")
         );
     } else {
-        print_text_output(&cli, prog, &outcome, strategy.as_str());
+        print_text_output(&cli, prog, &outcome);
     }
     if let Some(path) = &cli.baseline {
         let base = match read_sarif(path) {
@@ -688,21 +683,17 @@ fn model_name(model: MemoryModel) -> &'static str {
 /// The run manifest recorded in the SARIF invocation block: the full
 /// configuration (sorted knobs), the corpus hash, and the phase wall
 /// times (nondeterministic; quarantined under `properties.timings`).
-/// `solver_threads` is the worker pool the solver ran with, which the
-/// `--threads` knob raises.
-fn run_manifest(
-    cli: &Cli,
-    src: &str,
-    config: &CanaryConfig,
-    strategy: &str,
-    m: &canary_core::Metrics,
-) -> canary_report::RunManifest {
+/// `solver_threads` is the worker pool the solver ran with
+/// ([`CanaryConfig::solver_threads`]), which the `--threads` knob
+/// raises.
+fn run_manifest(cli: &Cli, src: &str, m: &canary_core::Metrics) -> canary_report::RunManifest {
+    let config = &cli.config;
     let checkers: Vec<String> = config.checkers.iter().map(|k| k.to_string()).collect();
     let memory_model = model_name(config.detect.memory_model);
     canary_report::RunManifest {
         file: cli.file.clone(),
         corpus_hash: canary_report::content_hash(src.as_bytes()),
-        strategy: strategy.to_string(),
+        strategy: config.detect.solver.strategy.as_str().to_string(),
         threads: config.threads,
         canary_version: env!("CARGO_PKG_VERSION").to_string(),
         rustc_version: env!("CANARY_RUSTC_VERSION").to_string(),
@@ -719,7 +710,7 @@ fn run_manifest(
                 "prefilter".into(),
                 config.detect.solver.prefilter.to_string(),
             ),
-            ("solver_threads".into(), m.detect_phase.workers.to_string()),
+            ("solver_threads".into(), config.solver_threads().to_string()),
             (
                 "sync_constraints".into(),
                 config.detect.sync_constraints.to_string(),
@@ -744,289 +735,176 @@ fn json_document(
     cli: &Cli,
     prog: &canary_ir::Program,
     outcome: &canary_core::AnalysisOutcome,
-    strategy: &str,
 ) -> serde_json::Value {
-    {
-        let reports: Vec<serde_json::Value> = outcome
-            .reports
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                serde_json::json!({
-                    "witness_replay_confirmed": outcome
-                        .witness_replays
-                        .get(i)
-                        .map(|replay| replay.confirmed()),
-                    "fingerprint": r.fingerprint(prog).to_string(),
-                    "provenance": r.provenance.as_ref()
-                        .map(|p| p.to_json())
-                        .unwrap_or(serde_json::Value::Null),
-                    "kind": r.kind.to_string(),
-                    "source": { "label": r.source.0,
-                                 "stmt": canary_ir::render_inst(prog, r.source),
-                                 "function": prog.func(prog.func_of(r.source)).name },
-                    "sink": { "label": r.sink.0,
-                               "stmt": canary_ir::render_inst(prog, r.sink),
-                               "function": prog.func(prog.func_of(r.sink)).name },
-                    "inter_thread": r.inter_thread,
-                    "path": r.path,
-                    "constraint": r.constraint,
-                    "witness_schedule": r.schedule.iter().map(|l| l.0).collect::<Vec<u32>>(),
-                })
+    let reports: Vec<serde_json::Value> = outcome
+        .reports
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            serde_json::json!({
+                "witness_replay_confirmed": outcome
+                    .witness_replays
+                    .get(i)
+                    .map(|replay| replay.confirmed()),
+                "fingerprint": r.fingerprint(prog).to_string(),
+                "provenance": r.provenance.as_ref()
+                    .map(|p| p.to_json())
+                    .unwrap_or(serde_json::Value::Null),
+                "kind": r.kind.to_string(),
+                "source": { "label": r.source.0,
+                             "stmt": canary_ir::render_inst(prog, r.source),
+                             "function": prog.func(prog.func_of(r.source)).name },
+                "sink": { "label": r.sink.0,
+                           "stmt": canary_ir::render_inst(prog, r.sink),
+                           "function": prog.func(prog.func_of(r.sink)).name },
+                "inter_thread": r.inter_thread,
+                "path": r.path,
+                "constraint": r.constraint,
+                "witness_schedule": r.schedule.iter().map(|l| l.0).collect::<Vec<u32>>(),
             })
-            .collect();
-        let m = &outcome.metrics;
-        let hot_queries: Vec<serde_json::Value> = m
-            .hottest_queries(TOP_K)
-            .iter()
-            .map(|p| {
-                serde_json::json!({
-                    "kind": p.kind.to_string(),
-                    "source": p.source.0,
-                    "sink": p.sink.0,
-                    "path_len": p.path_len,
-                    "bool_atoms": p.bool_atoms,
-                    "order_atoms": p.order_atoms,
-                    "sat": p.sat,
-                    "prefiltered": p.prefiltered,
-                    "memo_hit": p.memo_hit,
-                    "core_subsumed": p.core_subsumed,
-                    "incremental": p.incremental,
-                    "decisions": p.decisions,
-                    "conflicts": p.conflicts,
-                    "propagations": p.propagations,
-                    "learned": p.learned,
-                    "theory_lemmas": p.theory_lemmas,
-                    "wall_ms": p.wall.as_secs_f64() * 1e3,
-                })
+        })
+        .collect();
+    let m = &outcome.metrics;
+    let hot_queries: Vec<serde_json::Value> = m
+        .hottest_queries(TOP_K)
+        .iter()
+        .map(|p| {
+            let mut q = serde_json::json!({
+                "kind": p.kind.to_string(),
+                "source": p.source.0,
+                "sink": p.sink.0,
+                "wall_ms": p.wall.as_secs_f64() * 1e3,
+            });
+            if let serde_json::Value::Object(q) = &mut q {
+                q.extend(p.counters().map(|(k, v)| (k.to_string(), v.into())));
+            }
+            q
+        })
+        .collect();
+    let hot_functions: Vec<serde_json::Value> = m
+        .hottest_functions(TOP_K)
+        .iter()
+        .map(|p| {
+            serde_json::json!({
+                "function": p.name,
+                "stmt_visits": p.stmt_visits,
+                "blocks": p.blocks,
+                "summary_cells": p.summary_cells,
+                "stores": p.stores,
+                "loads": p.loads,
+                "wall_ms": p.wall.as_secs_f64() * 1e3,
             })
-            .collect();
-        let hot_functions: Vec<serde_json::Value> = m
-            .hottest_functions(TOP_K)
-            .iter()
-            .map(|p| {
-                serde_json::json!({
-                    "function": p.name,
-                    "stmt_visits": p.stmt_visits,
-                    "blocks": p.blocks,
-                    "summary_cells": p.summary_cells,
-                    "stores": p.stores,
-                    "loads": p.loads,
-                    "wall_ms": p.wall.as_secs_f64() * 1e3,
-                })
-            })
-            .collect();
-        let audit = m.audit.reconcile().unwrap_or_default();
-        let doc = serde_json::json!({
-            "schema_version": 4,
-            "canary_version": env!("CARGO_PKG_VERSION"),
-            "rustc_version": env!("CANARY_RUSTC_VERSION"),
-            "file": cli.file,
-            "reports": reports,
-            "metrics": {
-                "registry": m.to_registry().to_json(),
-                "statements": m.stmt_count,
-                "threads": m.thread_count,
-                "memory_model": model_name(cli.config.detect.memory_model),
-                "vfg_nodes": m.vfg_nodes,
-                "vfg_edges": m.vfg_edges,
-                "interference_edges": m.interference_edges,
-                "mhp_lock_pruned": m.mhp_lock_pruned,
-                "escaped_objects": m.escaped_objects,
-                "candidate_paths": m.detect.candidate_paths,
-                "reports_deduped": m.reports_deduped,
-                "smt_queries": m.detect.queries,
-                "worker_threads": m.worker_threads,
-                "dataflow_tasks": m.dataflow_phase.tasks,
-                "interference_tasks": m.interference_phase.tasks,
-                "time_dataflow_ms": m.t_dataflow.as_secs_f64() * 1e3,
-                "time_interference_ms": m.t_interference.as_secs_f64() * 1e3,
-                "time_detect_ms": m.t_detect.as_secs_f64() * 1e3,
-                "solver": {
-                    "strategy": strategy,
-                    "prefiltered": m.detect.prefiltered,
-                    "decisions": m.detect.decisions,
-                    "conflicts": m.detect.conflicts,
-                    "propagations": m.detect.propagations,
-                    "learned": m.detect.learned,
-                    "theory_lemmas": m.detect.theory_lemmas,
-                    "families": m.detect.families,
-                    "memo_hits": m.detect.memo_hits,
-                    "core_subsumed": m.detect.core_subsumed,
-                    "incremental_queries": m.detect.incremental,
-                    "clauses_retained": m.detect.clauses_retained,
-                    "reuse_rate": if m.detect.queries > 0 {
-                        (m.detect.memo_hits + m.detect.core_subsumed) as f64
-                            / m.detect.queries as f64
-                    } else {
-                        0.0
-                    },
-                },
-                "hot_queries": hot_queries,
-                "hot_functions": hot_functions,
-                "audit": {
-                    "candidates": audit.candidates,
-                    "reported": audit.reported,
-                    "deduped": audit.deduped,
-                    "prefiltered": audit.prefiltered,
-                    "unsat": audit.unsat,
-                    "memoized": audit.memoized,
-                    "scope_filtered": audit.scope_filtered,
-                    "path_budget": audit.path_budget,
-                    "pruned_mhp": audit.pruned_mhp,
-                    "pruned_lock": audit.pruned_lock,
-                    "pruned_order": audit.pruned_order,
-                },
-            },
-        });
-        doc
-    }
+        })
+        .collect();
+    serde_json::json!({
+        "schema_version": 5,
+        "canary_version": env!("CARGO_PKG_VERSION"),
+        "rustc_version": env!("CANARY_RUSTC_VERSION"),
+        "file": cli.file,
+        "reports": reports,
+        "metrics": {
+            "registry": m.to_registry().to_json(),
+            "memory_model": model_name(cli.config.detect.memory_model),
+            "strategy": cli.config.detect.solver.strategy.as_str(),
+            "hot_queries": hot_queries,
+            "hot_functions": hot_functions,
+        },
+    })
 }
 
 /// Renders the human-readable text report: findings (or the no-bugs
 /// line), witness verification, refutation cores and the `--stats`
-/// tables.
-fn print_text_output(
-    cli: &Cli,
-    prog: &canary_ir::Program,
-    outcome: &canary_core::AnalysisOutcome,
-    strategy: &str,
-) {
-    {
-        if outcome.reports.is_empty() {
-            println!("canary: no bugs found in {}", cli.file);
-        } else {
-            println!("{}", outcome.render(prog));
-        }
-        if !outcome.witness_replays.is_empty() {
-            let m = &outcome.metrics;
-            println!(
-                "witness verification: {}/{} schedules replayed to their bug",
-                m.witnesses_confirmed, m.witnesses_checked
-            );
-            for (r, replay) in outcome.reports.iter().zip(&outcome.witness_replays) {
-                if !replay.confirmed() {
-                    println!(
-                        "  [unconfirmed] {} {} -> {}: {replay:?}",
-                        r.kind,
-                        canary_ir::render_inst(prog, r.source),
-                        canary_ir::render_inst(prog, r.sink),
-                    );
-                }
+/// footer.
+fn print_text_output(cli: &Cli, prog: &canary_ir::Program, outcome: &canary_core::AnalysisOutcome) {
+    if outcome.reports.is_empty() {
+        println!("canary: no bugs found in {}", cli.file);
+    } else {
+        println!("{}", outcome.render(prog));
+    }
+    if !outcome.witness_replays.is_empty() {
+        let confirmed = outcome
+            .witness_replays
+            .iter()
+            .filter(|r| r.confirmed())
+            .count();
+        println!(
+            "witness verification: {confirmed}/{} schedules replayed to their bug",
+            outcome.witness_replays.len()
+        );
+        for (r, replay) in outcome.reports.iter().zip(&outcome.witness_replays) {
+            if !replay.confirmed() {
+                println!(
+                    "  [unconfirmed] {} {} -> {}: {replay:?}",
+                    r.kind,
+                    canary_ir::render_inst(prog, r.source),
+                    canary_ir::render_inst(prog, r.sink),
+                );
             }
         }
-        for r in &outcome.refuted {
-            println!(
-                "[refuted] {} candidate: {} -> {}\n  unsat core: {}",
-                r.kind,
-                canary_ir::render_inst(prog, r.source),
-                canary_ir::render_inst(prog, r.sink),
-                r.core.join("  &  "),
-            );
+    }
+    for r in &outcome.refuted {
+        println!(
+            "[refuted] {} candidate: {} -> {}\n  unsat core: {}",
+            r.kind,
+            canary_ir::render_inst(prog, r.source),
+            canary_ir::render_inst(prog, r.sink),
+            r.core.join("  &  "),
+        );
+    }
+    if cli.stats {
+        let m = &outcome.metrics;
+        println!("\nstats:");
+        for line in m.to_registry().scalar_lines() {
+            println!("  {line}");
         }
-        if cli.stats {
-            let m = &outcome.metrics;
-            println!(
-                "\nstats: {} stmts, {} threads | vfg {} nodes / {} edges \
-                 ({} interference, {} lock-pruned) | {} escaped objects | \
-                 {} paths, {} queries | \
-                 {} workers: dataflow {:.1} ms ({} tasks), \
-                 interference {:.1} ms ({} tasks), detect {:.1} ms",
-                m.stmt_count,
-                m.thread_count,
-                m.vfg_nodes,
-                m.vfg_edges,
-                m.interference_edges,
-                m.mhp_lock_pruned,
-                m.escaped_objects,
-                m.detect.candidate_paths,
-                m.detect.queries,
-                m.worker_threads,
-                m.t_dataflow.as_secs_f64() * 1e3,
-                m.dataflow_phase.tasks,
-                m.t_interference.as_secs_f64() * 1e3,
-                m.interference_phase.tasks,
-                m.t_detect.as_secs_f64() * 1e3,
-            );
-            println!(
-                "solver: {} queries ({} prefiltered) | {} decisions, \
-                 {} conflicts, {} propagations, {} learned clauses, \
-                 {} theory lemmas",
-                m.detect.queries,
-                m.detect.prefiltered,
-                m.detect.decisions,
-                m.detect.conflicts,
-                m.detect.propagations,
-                m.detect.learned,
-                m.detect.theory_lemmas,
-            );
-            let reuse_rate = if m.detect.queries > 0 {
-                100.0 * (m.detect.memo_hits + m.detect.core_subsumed) as f64
-                    / m.detect.queries as f64
-            } else {
-                0.0
-            };
-            println!(
-                "solver reuse [{}]: {} families | {} memo hits, \
-                 {} core-subsumed, {} incremental ({:.1}% cache reuse) | \
-                 {} clauses retained",
-                strategy,
-                m.detect.families,
-                m.detect.memo_hits,
-                m.detect.core_subsumed,
-                m.detect.incremental,
-                reuse_rate,
-                m.detect.clauses_retained,
-            );
-            match m.audit.reconcile() {
-                Ok(summary) => println!("{}", summary.render()),
-                Err(e) => println!("audit: RECONCILIATION FAILED: {e}"),
+        match m.audit.reconcile() {
+            Ok(summary) => println!("{}", summary.render()),
+            Err(e) => println!("audit: RECONCILIATION FAILED: {e}"),
+        }
+        let hot = m.hottest_queries(TOP_K);
+        if !hot.is_empty() {
+            println!("hottest queries:");
+            for (rank, p) in hot.iter().enumerate() {
+                println!(
+                    "  {}. [{}] {} {} -> {} | path {} | {} bool / {} order atoms | \
+                     {} decisions, {} conflicts, {} propagations | {:.2} ms",
+                    rank + 1,
+                    if p.stats.prefiltered {
+                        "prefiltered"
+                    } else if p.sat {
+                        "sat"
+                    } else {
+                        "unsat"
+                    },
+                    p.kind,
+                    canary_ir::render_inst(prog, p.source),
+                    canary_ir::render_inst(prog, p.sink),
+                    p.path_len,
+                    p.bool_atoms,
+                    p.order_atoms,
+                    p.stats.decisions,
+                    p.stats.conflicts,
+                    p.stats.propagations,
+                    p.wall.as_secs_f64() * 1e3,
+                );
             }
-            let hot = m.hottest_queries(TOP_K);
-            if !hot.is_empty() {
-                println!("hottest queries:");
-                for (rank, p) in hot.iter().enumerate() {
-                    println!(
-                        "  {}. [{}] {} {} -> {} | path {} | {} bool / {} order atoms | \
-                         {} decisions, {} conflicts, {} propagations | {:.2} ms",
-                        rank + 1,
-                        if p.prefiltered {
-                            "prefiltered"
-                        } else if p.sat {
-                            "sat"
-                        } else {
-                            "unsat"
-                        },
-                        p.kind,
-                        canary_ir::render_inst(prog, p.source),
-                        canary_ir::render_inst(prog, p.sink),
-                        p.path_len,
-                        p.bool_atoms,
-                        p.order_atoms,
-                        p.decisions,
-                        p.conflicts,
-                        p.propagations,
-                        p.wall.as_secs_f64() * 1e3,
-                    );
-                }
-            }
-            let hot = m.hottest_functions(TOP_K);
-            if !hot.is_empty() {
-                println!("hottest functions (Alg. 1):");
-                for (rank, p) in hot.iter().enumerate() {
-                    println!(
-                        "  {}. {} | {} stmt visits over {} blocks | \
-                         {} summary cells | {} stores / {} loads | {:.2} ms",
-                        rank + 1,
-                        p.name,
-                        p.stmt_visits,
-                        p.blocks,
-                        p.summary_cells,
-                        p.stores,
-                        p.loads,
-                        p.wall.as_secs_f64() * 1e3,
-                    );
-                }
+        }
+        let hot = m.hottest_functions(TOP_K);
+        if !hot.is_empty() {
+            println!("hottest functions (Alg. 1):");
+            for (rank, p) in hot.iter().enumerate() {
+                println!(
+                    "  {}. {} | {} stmt visits over {} blocks | \
+                     {} summary cells | {} stores / {} loads | {:.2} ms",
+                    rank + 1,
+                    p.name,
+                    p.stmt_visits,
+                    p.blocks,
+                    p.summary_cells,
+                    p.stores,
+                    p.loads,
+                    p.wall.as_secs_f64() * 1e3,
+                );
             }
         }
     }

@@ -1,7 +1,11 @@
 //! End-to-end tests of the `canary` command-line binary.
 
+mod common;
+
 use std::io::Write;
 use std::process::Command;
+
+use common::registry_value;
 
 fn canary_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_canary"))
@@ -46,7 +50,7 @@ fn json_output_is_parseable() {
     assert_eq!(doc["reports"].as_array().unwrap().len(), 1);
     assert_eq!(doc["reports"][0]["kind"], "use-after-free");
     assert_eq!(doc["reports"][0]["inter_thread"], true);
-    assert!(doc["metrics"]["statements"].as_u64().unwrap() >= 4);
+    assert!(registry_value(&doc, "canary_program_statements", "") >= 4.0);
 }
 
 #[test]
@@ -212,7 +216,7 @@ fn json_document_is_versioned_and_fingerprinted() {
     let path = write_temp("racy_schema.cir", RACY);
     let out = canary_bin().arg(&path).arg("--json").output().unwrap();
     let doc: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
-    assert_eq!(doc["schema_version"], 4, "consumers gate on schema_version");
+    assert_eq!(doc["schema_version"], 5, "consumers gate on schema_version");
     let fp = doc["reports"][0]["fingerprint"].as_str().unwrap();
     assert_eq!(fp.len(), 16, "16 hex digits: {fp}");
     assert!(fp.chars().all(|c| c.is_ascii_hexdigit()), "{fp}");
@@ -400,9 +404,9 @@ fn unroll_flag_changes_bounding() {
             .output()
             .unwrap();
         let doc: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
-        let stmts = doc["metrics"]["statements"].as_u64().unwrap();
+        let stmts = registry_value(&doc, "canary_program_statements", "");
         // alloc + free + `use` per unrolled copy.
-        assert_eq!(stmts, 2 + expect_derefs, "unroll {unroll}");
+        assert_eq!(stmts, (2 + expect_derefs) as f64, "unroll {unroll}");
     }
 }
 
@@ -554,9 +558,8 @@ fn json_metrics_carry_the_audit_summary() {
     let path = write_temp("racy_audit_json.cir", RACY);
     let out = canary_bin().arg(&path).arg("--json").output().unwrap();
     let doc: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
-    let audit = &doc["metrics"]["audit"];
-    let candidates = audit["candidates"].as_u64().unwrap();
-    let parts = [
+    let audit = |k: &str| registry_value(&doc, &format!("canary_audit_{k}"), "");
+    let parts: f64 = [
         "reported",
         "deduped",
         "prefiltered",
@@ -565,13 +568,14 @@ fn json_metrics_carry_the_audit_summary() {
         "scope_filtered",
     ]
     .iter()
-    .map(|k| audit[*k].as_u64().unwrap())
-    .sum::<u64>();
+    .map(|k| audit(k))
+    .sum();
     assert_eq!(
-        candidates, parts,
-        "reconciliation invariant in --json: {audit}"
+        audit("candidates"),
+        parts,
+        "reconciliation invariant in --json"
     );
-    assert_eq!(audit["reported"].as_u64().unwrap(), 1);
+    assert_eq!(audit("reported"), 1.0);
 }
 
 #[test]
@@ -585,4 +589,104 @@ fn stats_prints_the_audit_reconciliation_line() {
         .unwrap_or_else(|| panic!("no audit line: {stdout}"));
     assert!(line.contains("candidates"), "{line}");
     assert!(!line.contains("FAILED"), "{line}");
+}
+
+/// The counter and gauge samples of an OpenMetrics document as
+/// `(family, labels, value)`, in document order: counters lose their
+/// `_total` suffix, histogram families are skipped.
+fn openmetrics_scalars(text: &str) -> Vec<(&str, &str, &str)> {
+    let mut kind = "";
+    let mut out = Vec::new();
+    for line in text.lines() {
+        if let Some(header) = line.strip_prefix("# TYPE ") {
+            kind = header.rsplit(' ').next().unwrap();
+            continue;
+        }
+        if line.starts_with('#') || kind == "histogram" {
+            continue;
+        }
+        let (sample, value) = line.rsplit_once(' ').unwrap();
+        let (name, labels) = match sample.split_once('{') {
+            Some((name, labels)) => (name, labels.strip_suffix('}').unwrap()),
+            None => (sample, ""),
+        };
+        let family = match kind {
+            "counter" => name.strip_suffix("_total").unwrap(),
+            _ => name,
+        };
+        out.push((family, labels, value));
+    }
+    out
+}
+
+fn fig2_variant() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/fig2_variant.cir")
+}
+
+#[test]
+fn json_metrics_are_the_registry() {
+    let metrics_path = std::env::temp_dir().join("canary-cli-tests/fig2_variant_json.om");
+    let out = canary_bin()
+        .arg(fig2_variant())
+        .arg("--json")
+        .arg("--metrics-out")
+        .arg(&metrics_path)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "the variant's UAF is reported");
+    let doc: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+    assert_eq!(doc["schema_version"], 5);
+    let keys: Vec<&String> = doc["metrics"].as_object().unwrap().keys().collect();
+    assert_eq!(
+        keys,
+        [
+            "hot_functions",
+            "hot_queries",
+            "memory_model",
+            "registry",
+            "strategy"
+        ]
+    );
+    // Both exports render the run's one `Metrics`, so every scalar
+    // sample agrees, the volatile ones included.
+    let text = std::fs::read_to_string(&metrics_path).unwrap();
+    let scalars = openmetrics_scalars(&text);
+    assert!(scalars.len() >= 40, "{text}");
+    for (family, labels, value) in scalars {
+        assert_eq!(
+            registry_value(&doc, family, labels),
+            value.parse::<f64>().unwrap(),
+            "{family}{{{labels}}}"
+        );
+    }
+}
+
+#[test]
+fn stats_prints_every_scalar_sample_in_registry_order() {
+    let metrics_path = std::env::temp_dir().join("canary-cli-tests/fig2_variant_stats.om");
+    let out = canary_bin()
+        .arg(fig2_variant())
+        .arg("--stats")
+        .arg("--metrics-out")
+        .arg(&metrics_path)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "the variant's UAF is reported");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let footer: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| *l != "stats:")
+        .skip(1)
+        .take_while(|l| !l.starts_with("audit: "))
+        .collect();
+    let text = std::fs::read_to_string(&metrics_path).unwrap();
+    let want: Vec<String> = openmetrics_scalars(&text)
+        .into_iter()
+        .map(|(family, labels, value)| match labels {
+            "" => format!("  {family} {value}"),
+            _ => format!("  {family}{{{labels}}} {value}"),
+        })
+        .collect();
+    assert!(!want.is_empty(), "{text}");
+    assert_eq!(footer, want, "{stdout}");
 }

@@ -61,8 +61,8 @@ fn canonical_json(outcome: &AnalysisOutcome) -> String {
             "term_count": m.term_count,
             "candidate_paths": m.detect.candidate_paths,
             "smt_queries": m.detect.queries,
-            "dataflow_tasks": m.dataflow_phase.tasks,
-            "interference_tasks": m.interference_phase.tasks,
+            "dataflow_tasks": m.dataflow_tasks,
+            "interference_tasks": m.interference_tasks,
             "detect": format!("{:?}", m.detect),
         },
         "refuted": outcome.refuted.iter().map(|r| {

@@ -20,6 +20,8 @@
 //! 4. a dedup regression: fingerprint-equal reports collapse to the
 //!    shortest witness before emission.
 
+mod common;
+
 use canary::{Canary, CanaryConfig};
 use canary_detect::MemoryModel;
 use canary_report::{diff_sarif, sarif_document, RunManifest};
@@ -665,7 +667,10 @@ fn fingerprint_equal_reports_dedup_to_shortest_witness() {
     let doc: Value = serde_json::from_slice(&out.stdout).unwrap();
     let reports = doc["reports"].as_array().unwrap();
     assert_eq!(reports.len(), 1, "duplicates collapse: {reports:?}");
-    assert_eq!(doc["metrics"]["reports_deduped"].as_u64(), Some(2));
+    assert_eq!(
+        common::registry_value(&doc, "canary_detect_reports_deduped", ""),
+        2.0
+    );
     // The survivor is a genuine shortest witness: no longer schedule
     // exists among the collapsed clones (free@l3 is the earliest).
     let schedule = reports[0]["witness_schedule"].as_array().unwrap();
